@@ -9,13 +9,19 @@ FUZZTIME  ?= 10s
 COVER_FLOOR ?= 74.0
 COVER_OUT   ?= /tmp/segscale-cover.out
 
-.PHONY: build test race lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-json bench-check ci
+.PHONY: build test test-cpu race lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-json bench-check ci
 
 build:
 	go build ./...
 
 test:
 	go test ./...
+
+# test-cpu reruns the GOMAXPROCS-sensitive packages at one and two
+# procs, so per-entry proc pinning and the collectives' schedules are
+# checked whatever the runner's core count.
+test-cpu:
+	go test -cpu 1,2 ./cmd/segbench/ ./internal/collective/ ./internal/transport/
 
 race:
 	go test -race $(RACE_PKGS)
@@ -100,4 +106,4 @@ cover:
 		if (t+0 < f+0) { printf "FAIL: coverage %.1f%% below floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
-ci: build lint test race fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke bench-check cover
+ci: build lint test test-cpu race fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke bench-check cover

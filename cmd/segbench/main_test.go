@@ -5,16 +5,18 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// fastReport runs the full -fast benchmark set once per test binary;
-// the harness itself is what is under test, not the timings.
+// fastReport runs the full -fast benchmark set once per test binary
+// and ambient GOMAXPROCS (go test -cpu reruns it at each setting); the
+// harness itself is what is under test, not the timings.
 var fastReport *Report
 
 func report(t *testing.T) *Report {
 	t.Helper()
-	if fastReport == nil {
+	if fastReport == nil || fastReport.GOMAXPROCS != runtime.GOMAXPROCS(0) {
 		fastReport = run(true)
 	}
 	return fastReport
@@ -68,8 +70,20 @@ func TestRunFastReportShape(t *testing.T) {
 		if e.NsPerOp <= 0 {
 			t.Errorf("%s: ns/op %v", name, e.NsPerOp)
 		}
-		if e.GOMAXPROCS != runtime.GOMAXPROCS(0) {
-			t.Errorf("%s: gomaxprocs %d, want ambient %d", name, e.GOMAXPROCS, runtime.GOMAXPROCS(0))
+	}
+	// Every entry pins its own GOMAXPROCS whatever the ambient setting:
+	// serial entries at 1, _mp4 entries at mpProcs. The report records
+	// the ambient value.
+	if r.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("report gomaxprocs %d, want ambient %d", r.GOMAXPROCS, runtime.GOMAXPROCS(0))
+	}
+	for name, e := range r.Benchmarks {
+		want := 1
+		if strings.HasSuffix(name, "_mp4") {
+			want = mpProcs
+		}
+		if e.GOMAXPROCS != want {
+			t.Errorf("%s: gomaxprocs %d, want pinned %d", name, e.GOMAXPROCS, want)
 		}
 	}
 	if r.Benchmarks["train_step_rank0"].ImgPerSec <= 0 ||

@@ -72,10 +72,10 @@ func checkAllreduce(t *testing.T, name string, fn allreduceFn, p, n int, seed in
 
 func TestAllreduceAlgorithmsMatchSerialSum(t *testing.T) {
 	algs := map[string]allreduceFn{
-		"naive": AllreduceNaive,
-		"ring":  AllreduceRing,
-		"rd":    AllreduceRecursiveDoubling,
-		"rab":   AllreduceRabenseifner,
+		"naive": AllreduceNaive[float32],
+		"ring":  AllreduceRing[float32],
+		"rd":    AllreduceRecursiveDoubling[float32],
+		"rab":   AllreduceRabenseifner[float32],
 	}
 	sizes := []int{1, 2, 3, 7, 64, 1023}
 	groups := []int{2, 3, 4, 5, 6, 8, 13}
@@ -105,17 +105,17 @@ func TestAllreduceSingleRankNoop(t *testing.T) {
 
 func TestAllreduceRingFewerElementsThanRanks(t *testing.T) {
 	// n < p leaves some ring segments empty; must still be correct.
-	checkAllreduce(t, "ring", AllreduceRing, 8, 3, 42)
-	checkAllreduce(t, "rab", AllreduceRabenseifner, 8, 3, 43)
+	checkAllreduce(t, "ring", AllreduceRing[float32], 8, 3, 42)
+	checkAllreduce(t, "rab", AllreduceRabenseifner[float32], 8, 3, 43)
 }
 
 func TestRabenseifnerLargeBuffer(t *testing.T) {
 	// Exercise the recursive halving/doubling windows on a buffer
 	// large enough for multiple non-trivial splits, odd length, and
 	// non-power-of-two group.
-	checkAllreduce(t, "rab", AllreduceRabenseifner, 6, 4097, 7)
-	checkAllreduce(t, "rab", AllreduceRabenseifner, 8, 4096, 8)
-	checkAllreduce(t, "rab", AllreduceRabenseifner, 12, 1000, 9)
+	checkAllreduce(t, "rab", AllreduceRabenseifner[float32], 6, 4097, 7)
+	checkAllreduce(t, "rab", AllreduceRabenseifner[float32], 8, 4096, 8)
+	checkAllreduce(t, "rab", AllreduceRabenseifner[float32], 12, 1000, 9)
 }
 
 func TestAllreduceHierLeaderMatchesNaive(t *testing.T) {
@@ -276,10 +276,10 @@ func TestPropertyAllreduceEquivalence(t *testing.T) {
 			})
 			return outs
 		}
-		naive := run(AllreduceNaive)
-		ring := run(AllreduceRing)
-		rd := run(AllreduceRecursiveDoubling)
-		rab := run(AllreduceRabenseifner)
+		naive := run(AllreduceNaive[float32])
+		ring := run(AllreduceRing[float32])
+		rd := run(AllreduceRecursiveDoubling[float32])
+		rab := run(AllreduceRabenseifner[float32])
 		for r := 0; r < p; r++ {
 			if maxAbsDiff(naive[r], ring[r]) > 1e-3 || maxAbsDiff(naive[r], rd[r]) > 1e-3 ||
 				maxAbsDiff(naive[r], rab[r]) > 1e-3 {

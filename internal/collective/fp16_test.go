@@ -3,6 +3,7 @@ package collective
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"segscale/internal/fp16"
@@ -13,7 +14,7 @@ import (
 type allreduce16Fn func(c *transport.Comm, group []int, buf []uint16) error
 
 var algs16 = map[string]allreduce16Fn{
-	"naive": AllreduceNaive16,
+	"naive": AllreduceNaive[uint16],
 	"ring":  AllreduceRing16,
 	"rd":    AllreduceRecursiveDoubling16,
 	"rab":   AllreduceRabenseifner16,
@@ -182,7 +183,7 @@ func TestAllreduce16HierMachineWrappers(t *testing.T) {
 	const n = 23
 	for name, fn := range map[string]func(*transport.Comm, topology.Machine, []uint16) error{
 		"hier-leader":   AllreduceHierLeader16,
-		"hier-twolevel": AllreduceHierTwoLevel16,
+		"hier-twolevel": AllreduceHierTwoLevel[uint16],
 	} {
 		ins := make([][]float32, p)
 		want := make([]float32, n)
@@ -219,12 +220,12 @@ func TestAllreduce16HierMachineWrappers(t *testing.T) {
 }
 
 // Group-membership and shape validation errors mirror the float32
-// collectives.
+// collectives, and carry the wire's qualifier.
 func TestAllreduce16Validation(t *testing.T) {
 	intra, inter := topology.SummitLinkSpecs()
 	transport.Run(1, func(c *transport.Comm) error {
-		if err := AllreduceNaive16(c, []int{1, 2}, []uint16{0}); err == nil {
-			t.Error("naive16 accepted a group that excludes the caller")
+		if err := AllreduceNaive(c, []int{1, 2}, []uint16{0}); err == nil || !strings.HasPrefix(err.Error(), "allreduce naive fp16:") {
+			t.Errorf("naive16 on a group that excludes the caller: %v", err)
 		}
 		if err := AllreduceHierGroups16(c, nil, intra, inter, []uint16{0}); err == nil {
 			t.Error("hier16 accepted an empty partition")
@@ -232,9 +233,42 @@ func TestAllreduce16Validation(t *testing.T) {
 		if err := AllreduceHierGroups16(c, [][]int{{0}, {}}, intra, inter, []uint16{0}); err == nil {
 			t.Error("hier16 accepted an empty node group")
 		}
-		if err := addInto16([]uint16{0}, []uint16{0, 0}); err == nil {
-			t.Error("addInto16 accepted mismatched lengths")
+		if err := wire16.reduce([]uint16{0}, []uint16{0, 0}); err == nil {
+			t.Error("binary16 reduce accepted mismatched lengths")
 		}
 		return nil
 	})
+}
+
+// The binary16 ring allocates no more per call than the float32 ring:
+// the wire table is picked once per call and the reduce hop is a
+// concrete loop, so the generic schedule adds nothing per element or
+// per message.
+func TestRing16AllocsMatchFloat32(t *testing.T) {
+	const p, n = 4, 1 << 12
+	w, err := transport.NewWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := []int{0, 1, 2, 3}
+	bufs32 := make([][]float32, p)
+	bufs16 := make([][]uint16, p)
+	for r := range bufs32 {
+		bufs32[r] = make([]float32, n)
+		bufs16[r] = make([]uint16, n)
+	}
+	allocs32 := testing.AllocsPerRun(20, func() {
+		if err := w.Run(func(c *transport.Comm) error { return AllreduceRing(c, group, bufs32[c.Rank()]) }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	allocs16 := testing.AllocsPerRun(20, func() {
+		if err := w.Run(func(c *transport.Comm) error { return AllreduceRing(c, group, bufs16[c.Rank()]) }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per ring call: float32 %.0f, binary16 %.0f", allocs32, allocs16)
+	if allocs16 > allocs32 {
+		t.Fatalf("binary16 ring allocates %.0f per call, float32 %.0f", allocs16, allocs32)
+	}
 }

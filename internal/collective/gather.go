@@ -92,7 +92,7 @@ func ReduceScatter(c *transport.Comm, group []int, buf []float32) (lo, hi int, e
 		if err != nil {
 			return 0, 0, fmt.Errorf("reduce-scatter: step %d: %w", s, err)
 		}
-		if err := addInto(buf[rlo:rhi], got); err != nil {
+		if err := wire32.reduce(buf[rlo:rhi], got); err != nil {
 			return 0, 0, fmt.Errorf("reduce-scatter: step %d: %w", s, err)
 		}
 	}

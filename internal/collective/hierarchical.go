@@ -8,25 +8,19 @@ import (
 	"segscale/internal/transport"
 )
 
-// Tag bases for the intra-node phases of the two-level hierarchical
-// allreduce. The inter-node phase reuses the flat algorithms (and
-// their tag bases) over disjoint cross-node groups, so only the
-// intra-node ring phases need bases of their own.
-const (
-	tagHierRS = 8 << 16
-	tagHierAG = 9 << 16
-)
-
-// levelFn maps a per-level algorithm choice to its flat
-// implementation over an explicit rank group.
-func levelFn(alg topology.LevelAlg) func(*transport.Comm, []int, []float32) error {
+// allreduceLevel runs a per-level algorithm choice as its flat
+// implementation over an explicit rank group. The inter-node phase
+// reuses the flat algorithms (and their tag bases) over disjoint
+// cross-node groups, so only the intra-node ring phases of the torus
+// composition need tag bases of their own (hierRS, hierAG).
+func allreduceLevel[E Wire](alg topology.LevelAlg, c *transport.Comm, group []int, buf []E) error {
 	switch alg {
 	case topology.LevelRecursiveDoubling:
-		return AllreduceRecursiveDoubling
+		return AllreduceRecursiveDoubling(c, group, buf)
 	case topology.LevelRabenseifner:
-		return AllreduceRabenseifner
+		return AllreduceRabenseifner(c, group, buf)
 	default:
-		return AllreduceRing
+		return AllreduceRing(c, group, buf)
 	}
 }
 
@@ -37,7 +31,7 @@ func levelFn(alg topology.LevelAlg) func(*transport.Comm, []int, []float32) erro
 // composes the levels. The world must equal mach.Ranks() ranks laid
 // out in machine order; elastic worlds with holes go through
 // AllreduceHierGroups with explicit node groups instead.
-func AllreduceHierTwoLevel(c *transport.Comm, mach topology.Machine, buf []float32) error {
+func AllreduceHierTwoLevel[E Wire](c *transport.Comm, mach topology.Machine, buf []E) error {
 	if c.Size() != mach.Ranks() {
 		return fmt.Errorf("collective: world %d != machine ranks %d", c.Size(), mach.Ranks())
 	}
@@ -65,7 +59,7 @@ func AllreduceHierTwoLevel(c *transport.Comm, mach topology.Machine, buf []float
 // an intra pick that favours latency over bandwidth — fall back to
 // the leader composition: binomial reduce to each node leader, the
 // picked inter algorithm among leaders, binomial broadcast back down.
-func AllreduceHierGroups(c *transport.Comm, groups [][]int, intra, inter topology.LinkSpec, buf []float32) error {
+func AllreduceHierGroups[E Wire](c *transport.Comm, groups [][]int, intra, inter topology.LinkSpec, buf []E) error {
 	nodes := len(groups)
 	if nodes == 0 {
 		return fmt.Errorf("collective: hierarchical allreduce with no node groups")
@@ -89,36 +83,37 @@ func AllreduceHierGroups(c *transport.Comm, groups [][]int, intra, inter topolog
 	if myNode < 0 {
 		return fmt.Errorf("collective: rank %d not in any node group", c.Rank())
 	}
-	sp := instrument(c, timeline.PhaseAllreduce, "hier-2level", 4*len(buf))
+	w := wireOf[E]()
+	sp := w.instrument(c, timeline.PhaseAllreduce, "hier-2level", len(buf))
 	defer sp.End()
 
 	local := groups[myNode]
 	intraAlg := topology.PickLevelAlg(intra, g0, len(buf))
 	if even && intraAlg == topology.LevelRing {
-		return hierTorus(c, groups, inter, buf, myNode, myLocal)
+		return hierTorus(w, c, groups, inter, buf, myNode, myLocal)
 	}
-	return hierLeader(c, groups, inter, buf, local)
+	return hierLeader(w, c, groups, inter, buf, local)
 }
 
 // hierLeader: reduce to node leaders, allreduce among leaders with the
 // picked inter algorithm, broadcast back down. Works for any node
 // group shapes.
-func hierLeader(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf []float32, local []int) error {
+func hierLeader[E Wire](w *wire[E], c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf []E, local []int) error {
 	leaders := make([]int, len(groups))
 	for n, grp := range groups {
 		leaders[n] = grp[0]
 	}
 	if err := ReduceTree(c, local, buf); err != nil {
-		return fmt.Errorf("hier-2level leader: reduce: %w", err)
+		return fmt.Errorf("hier-2level leader%s: reduce: %w", w.label, err)
 	}
 	if c.Rank() == local[0] {
 		interAlg := topology.PickLevelAlg(inter, len(leaders), len(buf))
-		if err := levelFn(interAlg)(c, leaders, buf); err != nil {
-			return fmt.Errorf("hier-2level leader: inter-node %v: %w", interAlg, err)
+		if err := allreduceLevel(interAlg, c, leaders, buf); err != nil {
+			return fmt.Errorf("hier-2level leader%s: inter-node %v: %w", w.label, interAlg, err)
 		}
 	}
 	if err := BcastTree(c, local, buf); err != nil {
-		return fmt.Errorf("hier-2level leader: bcast: %w", err)
+		return fmt.Errorf("hier-2level leader%s: bcast: %w", w.label, err)
 	}
 	return nil
 }
@@ -129,7 +124,7 @@ func hierLeader(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf 
 // nodes. With one rank per node it degenerates to the flat inter
 // algorithm over the whole buffer; with one node the two ring phases
 // alone complete the allreduce.
-func hierTorus(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf []float32, myNode, me int) error {
+func hierTorus[E Wire](w *wire[E], c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf []E, myNode, me int) error {
 	local := groups[myNode]
 	g := len(local)
 	n := len(buf)
@@ -143,16 +138,16 @@ func hierTorus(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf [
 		sendSeg := ((me-s)%g + g) % g
 		recvSeg := ((me-s-1)%g + g) % g
 		slo, shi := segment(n, g, sendSeg)
-		if err := c.Send(next, tagHierRS+s, buf[slo:shi]); err != nil {
-			return fmt.Errorf("hier-2level torus: reduce-scatter step %d: %w", s, err)
+		if err := transport.Send(c, next, w.tags.hierRS+s, buf[slo:shi]); err != nil {
+			return fmt.Errorf("hier-2level torus%s: reduce-scatter step %d: %w", w.label, s, err)
 		}
 		rlo, rhi := segment(n, g, recvSeg)
-		got, err := c.Recv(prev, tagHierRS+s)
+		got, err := transport.Recv[E](c, prev, w.tags.hierRS+s)
 		if err != nil {
-			return fmt.Errorf("hier-2level torus: reduce-scatter step %d: %w", s, err)
+			return fmt.Errorf("hier-2level torus%s: reduce-scatter step %d: %w", w.label, s, err)
 		}
-		if err := addInto(buf[rlo:rhi], got); err != nil {
-			return fmt.Errorf("hier-2level torus: reduce-scatter step %d: %w", s, err)
+		if err := w.reduce(buf[rlo:rhi], got); err != nil {
+			return fmt.Errorf("hier-2level torus%s: reduce-scatter step %d: %w", w.label, s, err)
 		}
 	}
 
@@ -167,8 +162,8 @@ func hierTorus(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf [
 			cross[nd] = grp[me]
 		}
 		interAlg := topology.PickLevelAlg(inter, len(cross), hi-lo)
-		if err := levelFn(interAlg)(c, cross, buf[lo:hi]); err != nil {
-			return fmt.Errorf("hier-2level torus: inter-node %v segment %d: %w", interAlg, ownSeg, err)
+		if err := allreduceLevel(interAlg, c, cross, buf[lo:hi]); err != nil {
+			return fmt.Errorf("hier-2level torus%s: inter-node %v segment %d: %w", w.label, interAlg, ownSeg, err)
 		}
 	}
 
@@ -178,13 +173,13 @@ func hierTorus(c *transport.Comm, groups [][]int, inter topology.LinkSpec, buf [
 		sendSeg := ((me-s+1)%g + g) % g
 		recvSeg := ((me-s)%g + g) % g
 		slo, shi := segment(n, g, sendSeg)
-		if err := c.Send(next, tagHierAG+s, buf[slo:shi]); err != nil {
-			return fmt.Errorf("hier-2level torus: allgather step %d: %w", s, err)
+		if err := transport.Send(c, next, w.tags.hierAG+s, buf[slo:shi]); err != nil {
+			return fmt.Errorf("hier-2level torus%s: allgather step %d: %w", w.label, s, err)
 		}
 		rlo, rhi := segment(n, g, recvSeg)
-		got, err := c.Recv(prev, tagHierAG+s)
+		got, err := transport.Recv[E](c, prev, w.tags.hierAG+s)
 		if err != nil {
-			return fmt.Errorf("hier-2level torus: allgather step %d: %w", s, err)
+			return fmt.Errorf("hier-2level torus%s: allgather step %d: %w", w.label, s, err)
 		}
 		copy(buf[rlo:rhi], got)
 	}

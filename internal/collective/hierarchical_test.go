@@ -97,7 +97,7 @@ func TestPropertyHierAwkwardShapes(t *testing.T) {
 					n := int(nRaw % 300)
 					ins, _ := makeInputs(p, n, seed)
 					outs := runHierWorld(t, sh.groups, sp.intra, sp.inter, ins)
-					want := refSum(ins)
+					want, _ := refSum(ins)
 					for r := 0; r < p; r++ {
 						for i := range want {
 							if math.Abs(float64(outs[r][i])-want[i]) > 1e-4*float64(p) {

@@ -7,24 +7,23 @@ import (
 	"segscale/internal/transport"
 )
 
-const tagRab = 7 << 16
-
 // AllreduceRabenseifner implements Rabenseifner's algorithm:
 // recursive-halving reduce-scatter followed by recursive-doubling
 // allgather. It has the ring's 2·(p−1)/p·n bandwidth term with only
 // 2·log₂(p) latency steps — the shape MPI libraries pick for large
 // messages on small-to-medium communicators. Non-power-of-two groups
 // use the MPICH fold (evens donate to odds, then unfold).
-func AllreduceRabenseifner(c *transport.Comm, group []int, buf []float32) error {
+func AllreduceRabenseifner[E Wire](c *transport.Comm, group []int, buf []E) error {
 	p := len(group)
 	if p <= 1 {
 		return nil
 	}
-	sp := instrument(c, timeline.PhaseAllreduce, "rabenseifner", 4*len(buf))
+	w := wireOf[E]()
+	sp := w.instrument(c, timeline.PhaseAllreduce, "rabenseifner", len(buf))
 	defer sp.End()
 	me, err := indexIn(group, c.Rank())
 	if err != nil {
-		return fmt.Errorf("allreduce rabenseifner: %w", err)
+		return fmt.Errorf("allreduce rabenseifner%s: %w", w.label, err)
 	}
 	n := len(buf)
 
@@ -38,16 +37,16 @@ func AllreduceRabenseifner(c *transport.Comm, group []int, buf []float32) error 
 	newrank := -1
 	switch {
 	case me < 2*rem && me%2 == 0:
-		if err := c.Send(group[me+1], tagRab, buf); err != nil {
-			return fmt.Errorf("allreduce rabenseifner: fold: %w", err)
+		if err := transport.Send(c, group[me+1], w.tags.rab, buf); err != nil {
+			return fmt.Errorf("allreduce rabenseifner%s: fold: %w", w.label, err)
 		}
 	case me < 2*rem:
-		got, err := c.Recv(group[me-1], tagRab)
+		got, err := transport.Recv[E](c, group[me-1], w.tags.rab)
 		if err != nil {
-			return fmt.Errorf("allreduce rabenseifner: fold: %w", err)
+			return fmt.Errorf("allreduce rabenseifner%s: fold: %w", w.label, err)
 		}
-		if err := addInto(buf, got); err != nil {
-			return fmt.Errorf("allreduce rabenseifner: fold: %w", err)
+		if err := w.reduce(buf, got); err != nil {
+			return fmt.Errorf("allreduce rabenseifner%s: fold: %w", w.label, err)
 		}
 		newrank = me / 2
 	default:
@@ -76,12 +75,12 @@ func AllreduceRabenseifner(c *transport.Comm, group []int, buf []float32) error 
 			} else {
 				sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
 			}
-			got, err := c.SendRecv(partner, tagRab+1+step, buf[sendLo:sendHi], partner, tagRab+1+step)
+			got, err := transport.SendRecv(c, partner, w.tags.rab+1+step, buf[sendLo:sendHi], partner, w.tags.rab+1+step)
 			if err != nil {
-				return fmt.Errorf("allreduce rabenseifner: halving step %d: %w", step, err)
+				return fmt.Errorf("allreduce rabenseifner%s: halving step %d: %w", w.label, step, err)
 			}
-			if err := addInto(buf[keepLo:keepHi], got); err != nil {
-				return fmt.Errorf("allreduce rabenseifner: halving step %d: %w", step, err)
+			if err := w.reduce(buf[keepLo:keepHi], got); err != nil {
+				return fmt.Errorf("allreduce rabenseifner%s: halving step %d: %w", w.label, step, err)
 			}
 			lo, hi = keepLo, keepHi
 			step++
@@ -115,9 +114,9 @@ func AllreduceRabenseifner(c *transport.Comm, group []int, buf []float32) error 
 			} else {
 				partnerLo, partnerHi = parent.lo, cur.lo
 			}
-			got, err := c.SendRecv(partner, tagRab+64+step, buf[cur.lo:cur.hi], partner, tagRab+64+step)
+			got, err := transport.SendRecv(c, partner, w.tags.rab+64+step, buf[cur.lo:cur.hi], partner, w.tags.rab+64+step)
 			if err != nil {
-				return fmt.Errorf("allreduce rabenseifner: doubling step %d: %w", step, err)
+				return fmt.Errorf("allreduce rabenseifner%s: doubling step %d: %w", w.label, step, err)
 			}
 			copy(buf[partnerLo:partnerHi], got)
 			step--
@@ -127,12 +126,12 @@ func AllreduceRabenseifner(c *transport.Comm, group []int, buf []float32) error 
 	// Unfold: odds return the result to their even partners.
 	if me < 2*rem {
 		if me%2 == 0 {
-			if err := c.RecvInto(group[me+1], tagRab+2048, buf); err != nil {
-				return fmt.Errorf("allreduce rabenseifner: unfold: %w", err)
+			if err := transport.RecvInto(c, group[me+1], w.tags.rab+2048, buf); err != nil {
+				return fmt.Errorf("allreduce rabenseifner%s: unfold: %w", w.label, err)
 			}
 		} else {
-			if err := c.Send(group[me-1], tagRab+2048, buf); err != nil {
-				return fmt.Errorf("allreduce rabenseifner: unfold: %w", err)
+			if err := transport.Send(c, group[me-1], w.tags.rab+2048, buf); err != nil {
+				return fmt.Errorf("allreduce rabenseifner%s: unfold: %w", w.label, err)
 			}
 		}
 	}

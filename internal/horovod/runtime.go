@@ -179,7 +179,7 @@ func (r *Runtime) AllreduceGrads(params []*nn.Param) error {
 				return fmt.Errorf("horovod: allreduce grads: %w", err)
 			}
 
-			if err := r.allreduce16(buf16); err != nil {
+			if err := allreduce(r, buf16); err != nil {
 				return fmt.Errorf("horovod: allreduce grads: %w", err)
 			}
 
@@ -200,7 +200,7 @@ func (r *Runtime) AllreduceGrads(params []*nn.Param) error {
 		packFused(buf, params, group)
 		pack.End()
 
-		if err := r.allreduce(buf); err != nil {
+		if err := allreduce(r, buf); err != nil {
 			return fmt.Errorf("horovod: allreduce grads: %w", err)
 		}
 		collective.Scale(buf, r.Size())
@@ -262,8 +262,9 @@ func unpackFused(params []*nn.Param, group []int, buf []float32) {
 	}
 }
 
-// allreduce dispatches one fused buffer to the configured collective.
-func (r *Runtime) allreduce(buf []float32) error {
+// allreduce dispatches one fused buffer — float32, or binary16 words
+// under FP16Compression — to the configured collective.
+func allreduce[E collective.Wire](r *Runtime, buf []E) error {
 	switch r.Cfg.ResolveAlgorithm() {
 	case netmodel.AlgHierLeader:
 		if r.elastic {
@@ -283,29 +284,6 @@ func (r *Runtime) allreduce(buf []float32) error {
 		return collective.AllreduceRabenseifner(r.Comm, r.world, buf)
 	default:
 		return collective.AllreduceRing(r.Comm, r.world, buf)
-	}
-}
-
-// allreduce16 dispatches one binary16 wire buffer to the configured
-// collective — the same algorithm resolution as allreduce, over the
-// compressed payload kind.
-func (r *Runtime) allreduce16(buf []uint16) error {
-	switch r.Cfg.ResolveAlgorithm() {
-	case netmodel.AlgHierLeader:
-		if r.elastic {
-			intra, inter := topology.SummitLinkSpecs()
-			return collective.AllreduceHierGroups16(r.Comm, r.nodeGroups, intra, inter, buf)
-		}
-		return collective.AllreduceHierLeader16(r.Comm, r.Mach, buf)
-	case netmodel.AlgHierTwoLevel:
-		intra, inter := topology.SummitLinkSpecs()
-		return collective.AllreduceHierGroups16(r.Comm, r.nodeGroups, intra, inter, buf)
-	case netmodel.AlgRecursiveDoubling:
-		return collective.AllreduceRecursiveDoubling16(r.Comm, r.world, buf)
-	case netmodel.AlgRabenseifner:
-		return collective.AllreduceRabenseifner16(r.Comm, r.world, buf)
-	default:
-		return collective.AllreduceRing16(r.Comm, r.world, buf)
 	}
 }
 

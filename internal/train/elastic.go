@@ -9,6 +9,7 @@ import (
 	"segscale/internal/checkpoint"
 	"segscale/internal/deeplab"
 	"segscale/internal/horovod"
+	"segscale/internal/modelhealth"
 	"segscale/internal/nn"
 	"segscale/internal/segdata"
 	"segscale/internal/telemetry"
@@ -270,6 +271,11 @@ func (rs *runState) elasticIncarnation(startEpoch, inc int) ([]int, error) {
 		if err != nil {
 			return err
 		}
+		var health *modelhealth.Collector
+		if cfg.Health != nil {
+			health = cfg.Health.Rank(slot, inc, probe)
+			rep.net.SetActivationTap(health)
+		}
 
 		// State sync: every elastic incarnation starts by making all
 		// replicas bit-identical to the sync root's — parameters,
@@ -324,6 +330,7 @@ func (rs *runState) elasticIncarnation(startEpoch, inc int) ([]int, error) {
 			shard:  shard,
 			accum:  cfg.Horovod.AccumPasses(),
 			scaler: scalerFor(cfg),
+			health: health,
 			ids:    make([]int, 0, cfg.BatchPerRank),
 			gstep:  rep.gstep,
 			x:      tensor.New(cfg.BatchPerRank, 3, rs.trainSet.H, rs.trainSet.W),

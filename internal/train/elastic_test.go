@@ -1,6 +1,7 @@
 package train
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"segscale/internal/faultinject"
+	"segscale/internal/modelhealth"
 )
 
 // elasticCfg is the shared configuration for the elastic tests: four
@@ -156,16 +158,21 @@ func TestElasticRegrowGolden(t *testing.T) {
 
 // TestElasticUnfailedMatchesFixedWorld: with no chaos armed, the
 // elastic code path must reproduce the fixed-world path's history
-// exactly — the membership machinery may not perturb an unfailed run.
+// exactly — the membership machinery may not perturb an unfailed run
+// — and its training-health ledger byte for byte.
 func TestElasticUnfailedMatchesFixedWorld(t *testing.T) {
 	fixed := elasticCfg()
 	fixed.Elastic = false
 	fixed.MaxRestarts = 0
+	fixedHealth := modelhealth.New(modelhealth.Config{})
+	fixed.Health = fixedHealth
 	rf, err := Run(fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	elastic := elasticCfg()
+	elasticHealth := modelhealth.New(modelhealth.Config{})
+	elastic.Health = elasticHealth
 	re, err := Run(elastic)
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +185,21 @@ func TestElasticUnfailedMatchesFixedWorld(t *testing.T) {
 			t.Errorf("epoch %d: elastic diverged from fixed world:\nfixed:   %+v\nelastic: %+v",
 				e, rf.History[e], re.History[e])
 		}
+	}
+
+	var fl, el bytes.Buffer
+	if err := fixedHealth.WriteLedger(&fl); err != nil {
+		t.Fatal(err)
+	}
+	if err := elasticHealth.WriteLedger(&el); err != nil {
+		t.Fatal(err)
+	}
+	if len(fixedHealth.Rows()) == 0 {
+		t.Fatal("fixed-world run recorded no health ledger rows")
+	}
+	if !bytes.Equal(fl.Bytes(), el.Bytes()) {
+		t.Errorf("elastic health ledger (%d rows) differs from fixed world's (%d rows)",
+			len(elasticHealth.Rows()), len(fixedHealth.Rows()))
 	}
 }
 

@@ -1,10 +1,18 @@
 // Package transport is an in-memory point-to-point message layer with
 // MPI-like semantics: ranks, tags, blocking Send/Recv with per-pair
-// FIFO ordering. It carries real float32 payloads between in-process
-// ranks (goroutines), and is the substrate for internal/collective —
-// the *functional* half of the reproduction, where gradient averaging
+// FIFO ordering. It carries real payloads between in-process ranks
+// (goroutines), and is the substrate for internal/collective — the
+// *functional* half of the reproduction, where gradient averaging
 // actually happens. Timing is not modelled here; that is
 // internal/netmodel's job.
+//
+// A payload is a slice of any Wire element: float32, or uint16
+// binary16 words (the compressed-collective wire format). Send, Recv,
+// RecvInto and SendRecv are each one generic code path over the
+// element type; the Comm methods of the same names are their float32
+// forms. Only the byte accounting differs by element — 4 bytes per
+// float32, 2 per binary16 word — and a receive whose element type does
+// not match the message's is reported as an error.
 //
 // The layer is chaos-testable: a World accepts a fault Injector
 // (drop, duplicate, delay per delivery attempt), a RetryPolicy that
@@ -25,28 +33,50 @@ import (
 	"segscale/internal/timeline"
 )
 
+// Wire is the set of payload element types: float32, and uint16
+// holding binary16 bit patterns.
+type Wire interface{ float32 | uint16 }
+
 // message is one in-flight payload. seq is the per-(src,dst)-pair
 // sequence number: receivers consume the lowest matching seq (FIFO
 // within a tag even under injected reordering) and use it to
-// deduplicate injected duplicates. Exactly one of data/data16 carries
-// the payload; u16 marks which, so a zero-length binary16 message is
+// deduplicate injected duplicates. Exactly one of f32/u16 carries the
+// payload; half marks which, so a zero-length binary16 message is
 // still distinguishable from a zero-length float32 one.
 type message struct {
-	seq    uint64
-	tag    int
-	data   []float32
-	data16 []uint16
-	u16    bool
+	seq  uint64
+	tag  int
+	f32  []float32
+	u16  []uint16
+	half bool
 }
 
 // bytes is the modelled wire size of the payload: 4 bytes per float32
 // element, 2 per binary16 word — the whole point of the compressed
 // wire format.
 func (m message) bytes() int {
-	if m.u16 {
-		return 2 * len(m.data16)
+	if m.half {
+		return 2 * len(m.u16)
 	}
-	return 4 * len(m.data)
+	return 4 * len(m.f32)
+}
+
+// payload returns m's payload field for element type E, and whether
+// that field is the binary16 one. Both results are fixed per
+// instantiation; the pointer-typed assertion costs no allocation.
+func payload[E Wire](m *message) (*[]E, bool) {
+	if p, ok := any(&m.f32).(*[]E); ok {
+		return p, false
+	}
+	return any(&m.u16).(*[]E), true
+}
+
+// kindName names a payload kind in mismatch errors.
+func kindName(half bool) string {
+	if half {
+		return "binary16"
+	}
+	return "float32"
 }
 
 // mailbox is the (src,dst) pair's delivery queue. Unlike a bare
@@ -319,24 +349,20 @@ func (c *Comm) opTimer() (<-chan time.Time, func()) {
 	return nil, func() {}
 }
 
-// Send delivers a copy of data to dst with the given tag. It blocks
-// only when the pair's mailbox is full (flow control). Injected drops
-// are retried under the world's RetryPolicy; exhausting it fails the
-// send (and the rank) with ErrDeliveryFailed.
-func (c *Comm) Send(dst, tag int, data []float32) error {
-	cp := make([]float32, len(data))
-	copy(cp, data)
-	return c.send(dst, tag, message{tag: tag, data: cp})
-}
+// Send is the float32 form of the package-level Send.
+func (c *Comm) Send(dst, tag int, data []float32) error { return Send(c, dst, tag, data) }
 
-// Send16 is Send for binary16 payloads — the compressed-collective
-// wire format. The payload rides the same mailbox, fault-injection
-// and flow-control machinery as float32 traffic; only the accounting
-// differs: 2 bytes per element instead of 4.
-func (c *Comm) Send16(dst, tag int, data []uint16) error {
-	cp := make([]uint16, len(data))
-	copy(cp, data)
-	return c.send(dst, tag, message{tag: tag, data16: cp, u16: true})
+// Send delivers a copy of data from c's rank to dst with the given
+// tag. It blocks only when the pair's mailbox is full (flow control).
+// Injected drops are retried under the world's RetryPolicy; exhausting
+// it fails the send (and the rank) with ErrDeliveryFailed.
+func Send[E Wire](c *Comm, dst, tag int, data []E) error {
+	m := message{tag: tag}
+	p, half := payload[E](&m)
+	*p = make([]E, len(data))
+	copy(*p, data)
+	m.half = half
+	return c.send(dst, tag, m)
 }
 
 // send is the payload-agnostic send path: validation, sequence
@@ -442,40 +468,31 @@ func (c *Comm) enqueue(mb *mailbox, m message, fault Fault) error {
 	}
 }
 
-// Recv blocks until a message from src with the given tag arrives and
-// returns its payload. Messages from src with other tags stay queued
-// for later matching Recvs; within a tag, messages are delivered in
-// send order (lowest sequence number first) even when the injector
-// reorders arrival.
-func (c *Comm) Recv(src, tag int) ([]float32, error) {
+// Recv is the float32 form of the package-level Recv.
+func (c *Comm) Recv(src, tag int) ([]float32, error) { return Recv[float32](c, src, tag) }
+
+// Recv blocks until a message from src with the given tag arrives at
+// c's rank and returns its payload. Messages from src with other tags
+// stay queued for later matching Recvs; within a tag, messages are
+// delivered in send order (lowest sequence number first) even when
+// the injector reorders arrival. A message whose element type is not
+// E is a protocol bug between the layered collectives — distinct tag
+// bases keep the kinds apart — and is reported as an error.
+func Recv[E Wire](c *Comm, src, tag int) ([]E, error) {
 	m, err := c.recv(src, tag)
 	if err != nil {
 		return nil, err
 	}
-	if m.u16 {
-		return nil, fmt.Errorf("transport: recv %d←%d tag %d: binary16 payload on a float32 receive", c.rank, src, tag)
+	p, half := payload[E](&m)
+	if half != m.half {
+		return nil, fmt.Errorf("transport: recv %d←%d tag %d: %s payload on a %s receive",
+			c.rank, src, tag, kindName(m.half), kindName(half))
 	}
-	return m.data, nil
+	return *p, nil
 }
 
-// Recv16 is Recv for binary16 payloads. A float32 message matched by
-// a binary16 receive (or vice versa) is a protocol bug between the
-// layered collectives — distinct tag bases keep the kinds apart — and
-// is reported as an error.
-func (c *Comm) Recv16(src, tag int) ([]uint16, error) {
-	m, err := c.recv(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	if !m.u16 {
-		return nil, fmt.Errorf("transport: recv %d←%d tag %d: float32 payload on a binary16 receive", c.rank, src, tag)
-	}
-	return m.data16, nil
-}
-
-// recv is the payload-agnostic receive path shared by Recv and
-// Recv16: tag-scanned, seq-ordered consumption with the edge-ID span
-// and drain semantics.
+// recv is the payload-agnostic receive path: tag-scanned, seq-ordered
+// consumption with the edge-ID span and drain semantics.
 func (c *Comm) recv(src, tag int) (message, error) {
 	if src == c.rank {
 		return message{}, fmt.Errorf("transport: rank %d recv from self", c.rank)
@@ -520,10 +537,13 @@ func (c *Comm) recv(src, tag int) (message, error) {
 	}
 }
 
+// RecvInto is the float32 form of the package-level RecvInto.
+func (c *Comm) RecvInto(src, tag int, dst []float32) error { return RecvInto(c, src, tag, dst) }
+
 // RecvInto is Recv but copies the payload into dst, which must match
 // the message length.
-func (c *Comm) RecvInto(src, tag int, dst []float32) error {
-	m, err := c.Recv(src, tag)
+func RecvInto[E Wire](c *Comm, src, tag int, dst []E) error {
+	m, err := Recv[E](c, src, tag)
 	if err != nil {
 		return err
 	}
@@ -535,37 +555,19 @@ func (c *Comm) RecvInto(src, tag int, dst []float32) error {
 	return nil
 }
 
-// RecvInto16 is Recv16 but copies the payload into dst, which must
-// match the message length.
-func (c *Comm) RecvInto16(src, tag int, dst []uint16) error {
-	m, err := c.Recv16(src, tag)
-	if err != nil {
-		return err
-	}
-	if len(m) != len(dst) {
-		return fmt.Errorf("transport: recv %d←%d tag %d: length %d into buffer %d",
-			c.rank, src, tag, len(m), len(dst))
-	}
-	copy(dst, m)
-	return nil
+// SendRecv is the float32 form of the package-level SendRecv.
+func (c *Comm) SendRecv(dst, sendTag int, data []float32, src, recvTag int) ([]float32, error) {
+	return SendRecv(c, dst, sendTag, data, src, recvTag)
 }
 
 // SendRecv posts a send to dst and then receives from src — the
 // classic ring-step primitive. The eager mailbox keeps this
 // deadlock-free for cycles shorter than mailboxDepth.
-func (c *Comm) SendRecv(dst, sendTag int, data []float32, src, recvTag int) ([]float32, error) {
-	if err := c.Send(dst, sendTag, data); err != nil {
+func SendRecv[E Wire](c *Comm, dst, sendTag int, data []E, src, recvTag int) ([]E, error) {
+	if err := Send(c, dst, sendTag, data); err != nil {
 		return nil, err
 	}
-	return c.Recv(src, recvTag)
-}
-
-// SendRecv16 is SendRecv for binary16 payloads.
-func (c *Comm) SendRecv16(dst, sendTag int, data []uint16, src, recvTag int) ([]uint16, error) {
-	if err := c.Send16(dst, sendTag, data); err != nil {
-		return nil, err
-	}
-	return c.Recv16(src, recvTag)
+	return Recv[E](c, src, recvTag)
 }
 
 // Barrier blocks until all ranks in the world have called it, or
