@@ -9,7 +9,7 @@ FUZZTIME  ?= 10s
 COVER_FLOOR ?= 74.0
 COVER_OUT   ?= /tmp/segscale-cover.out
 
-.PHONY: build test test-cpu race lint vet fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-json bench-check ci
+.PHONY: build test test-cpu race lint vet cross-build fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke cover bench-json bench-check ci
 
 build:
 	go build ./...
@@ -18,10 +18,10 @@ test:
 	go test ./...
 
 # test-cpu reruns the GOMAXPROCS-sensitive packages at one and two
-# procs, so per-entry proc pinning and the collectives' schedules are
-# checked whatever the runner's core count.
+# procs, so per-entry proc pinning, the collectives' schedules and the
+# kernels' worker splits are checked whatever the runner's core count.
 test-cpu:
-	go test -cpu 1,2 ./cmd/segbench/ ./internal/collective/ ./internal/transport/
+	go test -cpu 1,2 ./cmd/segbench/ ./internal/collective/ ./internal/transport/ ./internal/tensor/
 
 race:
 	go test -race $(RACE_PKGS)
@@ -29,6 +29,11 @@ race:
 
 vet:
 	go vet ./...
+
+# cross-build keeps the non-amd64 build, whose GEMM tile is pure Go,
+# compiling and vet-clean.
+cross-build:
+	GOARCH=arm64 go vet ./internal/tensor/ && GOARCH=arm64 go build ./...
 
 lint: vet
 	go run ./cmd/seglint -suppressions ./...
@@ -106,4 +111,4 @@ cover:
 		if (t+0 < f+0) { printf "FAIL: coverage %.1f%% below floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
-ci: build lint test test-cpu race fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke bench-check cover
+ci: build lint cross-build test test-cpu race fuzz-smoke trace-smoke chaos-smoke obs-smoke attr-smoke elastic-smoke fp16-smoke health-smoke bench-check cover

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -259,7 +260,9 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 	return out, nil
 }
 
-// GoFilesIn lists the non-test .go files of a directory, sorted.
+// GoFilesIn lists the non-test .go files of a directory that build on
+// the host's GOOS/GOARCH (file-name suffixes and //go:build lines, as
+// the go tool reads them), sorted.
 func GoFilesIn(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -271,7 +274,13 @@ func GoFilesIn(dir string) ([]string, error) {
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 			continue
 		}
-		names = append(names, n)
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -54,12 +54,28 @@ type tagBases struct {
 	naive, ring, rd, reduce, bcast, rab, hierRS, hierAG int
 }
 
+// spanNames holds each algorithm's span name, built once per wire so
+// a traced call does not concatenate one.
+type spanNames struct {
+	naive, ring, rd, bcast, rab, hier string
+}
+
+// spansWith returns the span names with suffix appended to each.
+func spansWith(suffix string) spanNames {
+	return spanNames{
+		naive: "naive" + suffix, ring: "ring" + suffix, rd: "recursive-doubling" + suffix,
+		bcast: "binomial-tree" + suffix, rab: "rabenseifner" + suffix, hier: "hier-2level" + suffix,
+	}
+}
+
 // wire is everything that differs between the two payload element
 // types; every schedule reads its wire once per call.
 type wire[E Wire] struct {
 	tags tagBases
-	// span suffixes the span name; label qualifies error messages.
-	span, label string
+	// spans names each algorithm's span; label qualifies error
+	// messages.
+	spans spanNames
+	label string
 	// bytes is the modelled wire size of one element.
 	bytes int
 	// add is the reduce hop, dst += src elementwise. Lengths are
@@ -73,6 +89,7 @@ var (
 			naive: 3 << 16, ring: 1 << 16, rd: 2 << 16, reduce: 4 << 16,
 			bcast: 5 << 16, rab: 7 << 16, hierRS: 8 << 16, hierAG: 9 << 16,
 		},
+		spans: spansWith(""),
 		bytes: 4,
 		add:   addFloat32,
 	}
@@ -81,7 +98,7 @@ var (
 			naive: 10 << 16, ring: 11 << 16, rd: 12 << 16, reduce: 13 << 16,
 			bcast: 14 << 16, rab: 15 << 16, hierRS: 16 << 16, hierAG: 17 << 16,
 		},
-		span:  "-fp16",
+		spans: spansWith("-fp16"),
 		label: " fp16",
 		bytes: 2,
 		add:   addBinary16,
@@ -102,14 +119,14 @@ func wireOf[E Wire]() *wire[E] {
 // instrument opens a span and bumps the per-algorithm op/byte
 // counters on the caller's probe. Uninstrumented communicators (nil
 // probe, the default) pay one branch per nil-safe telemetry call.
-func (w *wire[E]) instrument(c *transport.Comm, phase, alg string, n int) telemetry.Span {
+func (w *wire[E]) instrument(c *transport.Comm, phase, span string, n int) telemetry.Span {
 	p := c.Probe()
 	if p == nil {
 		return telemetry.Span{}
 	}
 	p.Counter("collective_ops_total").Inc()
 	p.Counter("collective_payload_bytes").Add(float64(w.bytes * n))
-	return p.Span(phase, alg+w.span)
+	return p.Span(phase, span)
 }
 
 // reduce adds src into dst with the wire's reduce hop.
@@ -167,7 +184,7 @@ func segment(n, p, i int) (lo, hi int) {
 // algorithms are verified against.
 func AllreduceNaive[E Wire](c *transport.Comm, group []int, buf []E) error {
 	w := wireOf[E]()
-	sp := w.instrument(c, timeline.PhaseAllreduce, "naive", len(buf))
+	sp := w.instrument(c, timeline.PhaseAllreduce, w.spans.naive, len(buf))
 	defer sp.End()
 	me, err := indexIn(group, c.Rank())
 	if err != nil {
@@ -208,7 +225,7 @@ func AllreduceRing[E Wire](c *transport.Comm, group []int, buf []E) error {
 		return nil
 	}
 	w := wireOf[E]()
-	sp := w.instrument(c, timeline.PhaseAllreduce, "ring", len(buf))
+	sp := w.instrument(c, timeline.PhaseAllreduce, w.spans.ring, len(buf))
 	defer sp.End()
 	me, err := indexIn(group, c.Rank())
 	if err != nil {
@@ -262,7 +279,7 @@ func AllreduceRecursiveDoubling[E Wire](c *transport.Comm, group []int, buf []E)
 		return nil
 	}
 	w := wireOf[E]()
-	sp := w.instrument(c, timeline.PhaseAllreduce, "recursive-doubling", len(buf))
+	sp := w.instrument(c, timeline.PhaseAllreduce, w.spans.rd, len(buf))
 	defer sp.End()
 	me, err := indexIn(group, c.Rank())
 	if err != nil {
@@ -362,7 +379,7 @@ func ReduceTree[E Wire](c *transport.Comm, group []int, buf []E) error {
 // BcastTree broadcasts group[0]'s buf to the group via binomial tree.
 func BcastTree[E Wire](c *transport.Comm, group []int, buf []E) error {
 	w := wireOf[E]()
-	sp := w.instrument(c, timeline.PhaseBcast, "binomial-tree", len(buf))
+	sp := w.instrument(c, timeline.PhaseBcast, w.spans.bcast, len(buf))
 	defer sp.End()
 	p := len(group)
 	me, err := indexIn(group, c.Rank())
@@ -406,7 +423,7 @@ func AllgatherRing(c *transport.Comm, group []int, shards [][]float32) error {
 	if len(shards) != p {
 		return fmt.Errorf("allgather ring: %d shards for %d ranks", len(shards), p)
 	}
-	sp := wire32.instrument(c, timeline.PhaseAllgather, "ring", len(shards[me]))
+	sp := wire32.instrument(c, timeline.PhaseAllgather, wire32.spans.ring, len(shards[me]))
 	defer sp.End()
 	next := group[(me+1)%p]
 	prev := group[(me-1+p)%p]

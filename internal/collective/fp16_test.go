@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"segscale/internal/fp16"
+	"segscale/internal/telemetry"
 	"segscale/internal/topology"
 	"segscale/internal/transport"
 )
@@ -243,7 +244,8 @@ func TestAllreduce16Validation(t *testing.T) {
 // The binary16 ring allocates no more per call than the float32 ring:
 // the wire table is picked once per call and the reduce hop is a
 // concrete loop, so the generic schedule adds nothing per element or
-// per message.
+// per message. With a probe attached the two allocate exactly the
+// same: span names are fixed per wire, not built per call.
 func TestRing16AllocsMatchFloat32(t *testing.T) {
 	const p, n = 4, 1 << 12
 	w, err := transport.NewWorld(p)
@@ -270,5 +272,28 @@ func TestRing16AllocsMatchFloat32(t *testing.T) {
 	t.Logf("allocs per ring call: float32 %.0f, binary16 %.0f", allocs32, allocs16)
 	if allocs16 > allocs32 {
 		t.Fatalf("binary16 ring allocates %.0f per call, float32 %.0f", allocs16, allocs32)
+	}
+
+	// A fresh probe per call keeps the tracer's span log the same
+	// length on every run, so the counts are exact (except under the
+	// race detector).
+	if raceEnabled {
+		return
+	}
+	traced := func(ring func(c *transport.Comm) error) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := w.Run(func(c *transport.Comm) error {
+				c.SetProbe(telemetry.NewProbe("rank", telemetry.NewStepClock()))
+				return ring(c)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	traced32 := traced(func(c *transport.Comm) error { return AllreduceRing(c, group, bufs32[c.Rank()]) })
+	traced16 := traced(func(c *transport.Comm) error { return AllreduceRing(c, group, bufs16[c.Rank()]) })
+	t.Logf("allocs per traced ring call: float32 %.0f, binary16 %.0f", traced32, traced16)
+	if traced16 != traced32 {
+		t.Fatalf("traced binary16 ring allocates %.0f per call, float32 %.0f", traced16, traced32)
 	}
 }

@@ -84,7 +84,7 @@ func AllreduceHierGroups[E Wire](c *transport.Comm, groups [][]int, intra, inter
 		return fmt.Errorf("collective: rank %d not in any node group", c.Rank())
 	}
 	w := wireOf[E]()
-	sp := w.instrument(c, timeline.PhaseAllreduce, "hier-2level", len(buf))
+	sp := w.instrument(c, timeline.PhaseAllreduce, w.spans.hier, len(buf))
 	defer sp.End()
 
 	local := groups[myNode]

@@ -3,6 +3,7 @@ package collective
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -163,9 +164,15 @@ func TestPropertyAllreduceMatchesReference(t *testing.T) {
 	propertyMatchesReference[uint16](t)
 }
 
+// wireSuffix qualifies subtest names the way span names are: "-fp16"
+// on the binary16 wire, nothing on float32.
+func wireSuffix[E Wire]() string {
+	return strings.TrimPrefix(wireOf[E]().spans.ring, "ring")
+}
+
 func propertyMatchesReference[E Wire](t *testing.T) {
 	for name, fn := range allAlgorithms[E]() {
-		t.Run(name+wireOf[E]().span, func(t *testing.T) {
+		t.Run(name+wireSuffix[E](), func(t *testing.T) {
 			prop := func(seed int64, pRaw, nRaw uint16) bool {
 				p := 1 + int(pRaw%9) // 1..9 ranks
 				n := int(nRaw % 300) // 0..299 elements (empty allowed)
@@ -212,7 +219,7 @@ func recoverableFaultsPreserveResults[E Wire](t *testing.T) {
 	}
 	cases := []struct{ p, n int }{{2, 17}, {3, 64}, {5, 33}, {8, 1023}}
 	for name, fn := range allAlgorithms[E]() {
-		t.Run(name+wireOf[E]().span, func(t *testing.T) {
+		t.Run(name+wireSuffix[E](), func(t *testing.T) {
 			for _, cse := range cases {
 				ins := wireInputs[E](cse.p, cse.n, int64(cse.p*1000+cse.n))
 				clean := runAllreduceWorld(t, fn, ins, nil)

@@ -19,7 +19,7 @@ func AllreduceRabenseifner[E Wire](c *transport.Comm, group []int, buf []E) erro
 		return nil
 	}
 	w := wireOf[E]()
-	sp := w.instrument(c, timeline.PhaseAllreduce, "rabenseifner", len(buf))
+	sp := w.instrument(c, timeline.PhaseAllreduce, w.spans.rab, len(buf))
 	defer sp.End()
 	me, err := indexIn(group, c.Rank())
 	if err != nil {

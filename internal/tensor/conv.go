@@ -74,23 +74,24 @@ func im2col(x *Tensor, sample, chanLo, cg int, kh, kw, oh, ow int, s ConvSpec, c
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
 				row := ((cc*kh+ky)*kw + kx) * spatial
+				off := kx*s.Dilation - s.Pad
+				lo, hi := tapSpan(off, s.Stride, wd, ow)
 				for oy := 0; oy < oh; oy++ {
+					dst := col.Data[row+oy*ow : row+(oy+1)*ow]
 					iy := oy*s.Stride - s.Pad + ky*s.Dilation
 					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							col.Data[row+oy*ow+ox] = 0
-						}
+						clear(dst)
 						continue
 					}
-					inRow := chOff + iy*wd
-					outRow := row + oy*ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.Stride - s.Pad + kx*s.Dilation
-						if ix < 0 || ix >= wd {
-							col.Data[outRow+ox] = 0
-						} else {
-							col.Data[outRow+ox] = x.Data[inRow+ix]
-						}
+					src := x.Data[chOff+iy*wd : chOff+(iy+1)*wd]
+					clear(dst[:lo])
+					clear(dst[hi:])
+					if s.Stride == 1 && lo < hi {
+						copy(dst[lo:hi], src[lo+off:hi+off])
+						continue
+					}
+					for ox := lo; ox < hi; ox++ {
+						dst[ox] = src[ox*s.Stride+off]
 					}
 				}
 			}
@@ -109,22 +110,139 @@ func col2im(dx *Tensor, sample, chanLo, cg int, kh, kw, oh, ow int, s ConvSpec, 
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
 				row := ((cc*kh+ky)*kw + kx) * spatial
+				off := kx*s.Dilation - s.Pad
+				lo, hi := tapSpan(off, s.Stride, wd, ow)
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*s.Stride - s.Pad + ky*s.Dilation
 					if iy < 0 || iy >= h {
 						continue
 					}
-					inRow := chOff + iy*wd
-					outRow := row + oy*ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.Stride - s.Pad + kx*s.Dilation
-						if ix >= 0 && ix < wd {
-							dx.Data[inRow+ix] += col.Data[outRow+ox]
+					src := col.Data[row+oy*ow+lo : row+oy*ow+hi]
+					dst := dx.Data[chOff+iy*wd : chOff+(iy+1)*wd]
+					if s.Stride == 1 && lo < hi {
+						d := dst[lo+off : hi+off]
+						for j, v := range src {
+							d[j] += v
 						}
+						continue
+					}
+					for j, v := range src {
+						dst[(lo+j)*s.Stride+off] += v
 					}
 				}
 			}
 		}
+	}
+}
+
+// convPath names the kernel a convolution runs on. Every path folds
+// each output's terms in the order the im2col path does, padded taps
+// included, so the choice never changes a bit of the result.
+type convPath int
+
+const (
+	convIm2col    convPath = iota // im2col/col2im around the packed GEMM
+	convDepthwise                 // 3×3, one channel per group: direct stencil
+	convPointwise                 // 1×1, stride 1, no padding: the sample slab is the GEMM operand
+)
+
+func convPathOf(cg, fg, kh, kw int, s ConvSpec) convPath {
+	switch {
+	case cg == 1 && fg == 1 && kh == 3 && kw == 3:
+		return convDepthwise
+	case kh == 1 && kw == 1 && s.Stride == 1 && s.Pad == 0:
+		return convPointwise
+	}
+	return convIm2col
+}
+
+// tapSpan returns the output columns [lo,hi) whose input column
+// ox*stride+off lies inside a row of width wd.
+func tapSpan(off, stride, wd, ow int) (lo, hi int) {
+	if off < 0 {
+		lo = (-off + stride - 1) / stride
+	}
+	if last := wd - 1 - off; last >= 0 {
+		hi = min(last/stride+1, ow)
+	}
+	return min(lo, hi), hi
+}
+
+// dwForward computes one depthwise 3×3 output plane op from input
+// plane xp and taps wt. Each output folds its nine taps in ascending
+// order from +0, a padded tap adding w·0: the terms and order of the
+// im2col GEMM, so the plane is bit-identical to it.
+func dwForward(op, xp, wt []float32, h, wd, oh, ow int, s ConvSpec) {
+	clear(op)
+	for t, wv := range wt[:9] {
+		off := t%3*s.Dilation - s.Pad
+		lo, hi := tapSpan(off, s.Stride, wd, ow)
+		z := float32(wv * 0)
+		for oy := 0; oy < oh; oy++ {
+			orow := op[oy*ow : (oy+1)*ow]
+			iy := oy*s.Stride - s.Pad + t/3*s.Dilation
+			if iy < 0 || iy >= h {
+				for ox := range orow {
+					orow[ox] += z
+				}
+				continue
+			}
+			row := xp[iy*wd : (iy+1)*wd]
+			for ox := range orow[:lo] {
+				orow[ox] += z
+			}
+			if s.Stride == 1 && lo < hi {
+				o := orow[lo:hi]
+				for j, v := range row[lo+off : hi+off] {
+					o[j] += float32(wv * v)
+				}
+			} else {
+				for ox := lo; ox < hi; ox++ {
+					orow[ox] += float32(wv * row[ox*s.Stride+off])
+				}
+			}
+			for ox := hi; ox < ow; ox++ {
+				orow[ox] += z
+			}
+		}
+	}
+}
+
+// dwBackward computes one depthwise 3×3 channel's weight gradient dwp
+// and adds its input gradient into dxp. dwp[t] folds the outputs in
+// ascending order from +0, a padded position adding dout·0, and dxp
+// takes tap t's contributions before tap t+1's: the terms and order
+// of the im2col path, so both are bit-identical to it.
+func dwBackward(dxp, dwp, xp, dop, wt []float32, h, wd, oh, ow int, s ConvSpec) {
+	for t, wv := range wt[:9] {
+		off := t%3*s.Dilation - s.Pad
+		lo, hi := tapSpan(off, s.Stride, wd, ow)
+		var g float32
+		for oy := 0; oy < oh; oy++ {
+			drow := dop[oy*ow : (oy+1)*ow]
+			iy := oy*s.Stride - s.Pad + t/3*s.Dilation
+			if iy < 0 || iy >= h {
+				for _, d := range drow {
+					g += float32(d * 0)
+				}
+				continue
+			}
+			row := xp[iy*wd : (iy+1)*wd]
+			dxrow := dxp[iy*wd : (iy+1)*wd]
+			for _, d := range drow[:lo] {
+				g += float32(d * 0)
+			}
+			for ox := lo; ox < hi; ox++ {
+				ix := ox*s.Stride + off
+				d := drow[ox]
+				g += float32(d * row[ix])
+				dxrow[ix] += float32(wv * d)
+			}
+			for _, d := range drow[hi:] {
+				g += float32(d * 0)
+			}
+		}
+		dwp[t] = g
 	}
 }
 
@@ -155,10 +273,36 @@ func Conv2DWS(x, w *Tensor, spec ConvSpec, ws *Workspace) *Tensor {
 	return out
 }
 
-// conv2DSamples runs the im2col+matmul forward for samples [lo,hi).
-// The matmul is invoked through its raw row-worker so no header
-// tensors are built per call.
+// conv2DSamples runs the forward for samples [lo,hi) on the kernel
+// the geometry allows (see convPathOf). The matmul is invoked through
+// its raw row-worker so no header tensors are built per call.
 func conv2DSamples(x, w, out *Tensor, s ConvSpec, lo, hi, fg, cg, kh, kw, oh, ow int, ws *Workspace) {
+	switch convPathOf(cg, fg, kh, kw, s) {
+	case convDepthwise:
+		h, wd := x.Dim(2), x.Dim(3)
+		for i := lo; i < hi; i++ {
+			for g := 0; g < s.Groups; g++ {
+				dwForward(out.Data[(i*s.Groups+g)*oh*ow:][:oh*ow], x.Data[(i*s.Groups+g)*h*wd:][:h*wd],
+					w.Data[g*9:][:9], h, wd, oh, ow, s)
+			}
+		}
+	case convPointwise:
+		f, spatial := out.Dim(1), oh*ow
+		for i := lo; i < hi; i++ {
+			for g := 0; g < s.Groups; g++ {
+				xSlab := x.Data[(i*s.Groups+g)*cg*spatial : (i*s.Groups+g+1)*cg*spatial]
+				outSlab := out.Data[(i*f+g*fg)*spatial : (i*f+(g+1)*fg)*spatial]
+				matmulRows(outSlab, w.Data[g*fg*cg:(g+1)*fg*cg], xSlab, cg, spatial, 0, fg, false)
+			}
+		}
+	default:
+		conv2DIm2col(x, w, out, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
+	}
+}
+
+// conv2DIm2col is the general forward: each sample's channel group is
+// expanded by im2col and multiplied by the group's filters.
+func conv2DIm2col(x, w, out *Tensor, s ConvSpec, lo, hi, fg, cg, kh, kw, oh, ow int, ws *Workspace) {
 	f := out.Dim(1)
 	spatial := oh * ow
 	ckk := cg * kh * kw
@@ -228,9 +372,45 @@ func Conv2DBackwardWS(x, w, dout *Tensor, spec ConvSpec, ws *Workspace) (dx, dw 
 }
 
 // convBackwardSamples computes dx rows and per-sample dW partials for
-// samples [lo,hi). Samples touch disjoint dx and partial regions, so
-// workers never race.
+// samples [lo,hi) on the kernel the geometry allows. Samples touch
+// disjoint dx and partial regions, so workers never race.
 func convBackwardSamples(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, fg, cg, kh, kw, oh, ow int, ws *Workspace) {
+	switch convPathOf(cg, fg, kh, kw, s) {
+	case convDepthwise:
+		h, wd := x.Dim(2), x.Dim(3)
+		c := s.Groups
+		for i := lo; i < hi; i++ {
+			for g := 0; g < c; g++ {
+				xp := x.Data[(i*c+g)*h*wd:][:h*wd]
+				dop := dout.Data[(i*c+g)*oh*ow:][:oh*ow]
+				dwBackward(dx.Data[(i*c+g)*h*wd:][:h*wd], partials.Data[(i*c+g)*9:][:9],
+					xp, dop, w.Data[g*9:][:9], h, wd, oh, ow, s)
+			}
+		}
+	case convPointwise:
+		f, spatial := dout.Dim(1), oh*ow
+		for i := lo; i < hi; i++ {
+			for g := 0; g < s.Groups; g++ {
+				xo := (i*s.Groups + g) * cg * spatial
+				doutSlab := dout.Data[(i*f+g*fg)*spatial : (i*f+(g+1)*fg)*spatial]
+				wSlab := w.Data[g*fg*cg : (g+1)*fg*cg]
+				dwSlab := partials.Data[(i*f+g*fg)*cg : (i*f+(g+1)*fg)*cg]
+				// dW_i = dout_i · x_iᵀ
+				matmulBTRows(dwSlab, doutSlab, x.Data[xo:xo+cg*spatial], spatial, cg, 0, fg, false)
+				// dx_i = wᵀ · dout_i, written in place: each element
+				// gets exactly one col2im contribution, and adding a
+				// sum folded from +0 (never −0) to +0 leaves it as is.
+				matmulATRows(dx.Data[xo:xo+cg*spatial], wSlab, doutSlab, fg, cg, spatial, 0, cg, false)
+			}
+		}
+	default:
+		convBackwardIm2col(x, w, dout, dx, partials, s, lo, hi, fg, cg, kh, kw, oh, ow, ws)
+	}
+}
+
+// convBackwardIm2col is the general backward: im2col for the weight
+// gradient, and a dcol matrix scattered back by col2im for dx.
+func convBackwardIm2col(x, w, dout, dx, partials *Tensor, s ConvSpec, lo, hi, fg, cg, kh, kw, oh, ow int, ws *Workspace) {
 	f := dout.Dim(1)
 	spatial := oh * ow
 	ckk := cg * kh * kw

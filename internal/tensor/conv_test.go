@@ -60,6 +60,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		{2, 6, 5, 5, 4, 3, ConvSpec{Stride: 1, Pad: 1, Groups: 2}},     // grouped
 		{1, 3, 5, 5, 2, 1, ConvSpec{}},                                 // 1×1 pointwise
 		{1, 2, 7, 7, 2, 5, ConvSpec{Stride: 2, Pad: 2}},
+		{2, 3, 2, 2, 2, 3, ConvSpec{Stride: 1, Pad: 6, Dilation: 6}}, // ASPP rate 6 on a 2×2 map
 	}
 	for i, c := range cases {
 		x := Randn(rng, 1, c.n, c.c, c.h, c.w)

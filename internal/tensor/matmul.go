@@ -4,32 +4,39 @@ import "fmt"
 
 // The matmul kernels are cache-blocked and register-tiled: C is
 // walked in mrTile×nrTile micro-tiles whose partial sums live in
-// registers, and the packed kernels copy the active B panel into a
-// dense per-worker scratch strip so the inner loop streams contiguous
-// memory regardless of n. Workers split the row range via Parallel.
+// registers, and the active B panel is packed into a dense per-worker
+// k×nrTile strip so the inner loop streams contiguous memory
+// whatever the layout of B. Workers split the row range via Parallel.
 //
-// The micro-tile is 2×4 rather than the classic 4×4: gc does not
-// auto-vectorise, so every accumulator occupies a full XMM register,
-// and 16 accumulators plus the a/b operands spill. 2 rows × 4 columns
-// (8 accumulators + 4 b values + 2 a values) fits amd64's 16 float
-// registers; measured on DeepLab-typical shapes it beats 4×4 by ~25 %.
-// The inner loop is unrolled ×2 over k, and the packed B panel is
-// walked with slice-to-array-pointer conversions so the compiler drops
-// bounds checks and index arithmetic.
+// One packed-panel path serves all three shapes a convolution needs:
+// C = A·B (forward), C = Aᵀ·B (input gradient) and C = A·Bᵀ (weight
+// gradient). A is addressed through a row stride and a k stride, so
+// Aᵀ is read in place; B is packed from rows (packPanelB) or from
+// columns (packPanelBT). Full 4×4 tiles run tile4x4, a Go-assembly
+// kernel on amd64 and tileGo elsewhere; rows left over after the
+// 4-row tiles run the scalar mulEdge.
 //
 // Numerical contract (what the validation tests pin down):
 //   - Each output element is an independent dot product accumulated
-//     in index order p = 0..k-1 in a single float32 register, so
-//     results are bit-identical across GOMAXPROCS settings and tile
-//     boundaries, and bit-identical to MatMulRefInto for the
-//     non-accumulating case.
+//     in index order p = 0..k-1 from +0 in a single float32
+//     accumulator, so results are bit-identical across GOMAXPROCS
+//     settings and tile boundaries, and bit-identical to
+//     MatMulRefInto for the non-accumulating case.
+//   - On amd64 one SIMD lane holds one output element: per p the
+//     tile multiplies with MULPS, rounding the product to float32,
+//     then adds with ADDPS. Only baseline SSE is used, so the bits
+//     match the scalar Go code at the default GOAMD64=v1. The Go
+//     kernels write every product as float32(a*b), which forbids the
+//     compiler from fusing it into an FMA, so they match the
+//     assembly at any GOAMD64 level and on every architecture.
 //   - IEEE semantics are preserved: there is no zero-skip, so a 0 in
 //     A against a NaN/Inf in B propagates NaN into C exactly as the
 //     arithmetic demands. (An earlier kernel skipped a == 0 rows as
 //     an optimisation, silently converting 0×NaN to 0 and masking
-//     divergence from the loss-scaling/NaN-detection path.)
+//     divergence from the loss-scaling/NaN-detection path.) Which
+//     NaN payload comes out is not promised, only where NaN appears.
 const (
-	mrTile = 2 // rows per micro-tile (register-blocked)
+	mrTile = 4 // rows per micro-tile (register-blocked)
 	nrTile = 4 // columns per micro-tile (= packed panel width)
 )
 
@@ -62,118 +69,50 @@ func MatMulInto(c, a, b *Tensor, accumulate bool) {
 }
 
 // matmulRows is the per-worker body of MatMulInto: rows [lo,hi) of
-// C = A·B, packing one B panel at a time.
+// C = A·B for A [m,k] and B [k,n].
 func matmulRows(cd, ad, bd []float32, k, n, lo, hi int, accumulate bool) {
+	gemmRows(cd, ad, bd, k, 1, k, n, false, lo, hi, accumulate)
+}
+
+// matmulATRows computes rows [lo,hi) of C = Aᵀ·B for A [k,m] and
+// B [k,n] — the shape conv backward needs for input gradients. Aᵀ is
+// read in place through its strides.
+func matmulATRows(cd, ad, bd []float32, k, m, n, lo, hi int, accumulate bool) {
+	gemmRows(cd, ad, bd, 1, m, k, n, false, lo, hi, accumulate)
+}
+
+// matmulBTRows computes rows [lo,hi) of C = A·Bᵀ for A [m,k] and
+// B [n,k] — the shape conv backward needs for weight gradients.
+func matmulBTRows(cd, ad, bd []float32, k, n, lo, hi int, accumulate bool) {
+	gemmRows(cd, ad, bd, k, 1, k, n, true, lo, hi, accumulate)
+}
+
+// gemmRows computes rows [lo,hi) of C [·,n] (+)= A·B over k, where
+// A[i,p] is ad[i*ars+p*aps] and B is [k,n], or [n,k] when bt. One B
+// panel is packed at a time into pooled scratch and swept by every
+// row tile.
+func gemmRows(cd, ad, bd []float32, ars, aps, k, n int, bt bool, lo, hi int, acc bool) {
+	if k == 0 {
+		ars = 0 // A may be empty; no element of it is read
+	}
 	panel := kernelScratch.GetRaw(k * nrTile)
 	bp := panel.Data
 	for j0 := 0; j0 < n; j0 += nrTile {
 		jw := min(nrTile, n-j0)
-		packPanelB(bp, bd, k, n, j0, jw)
-		i0 := lo
-		for ; i0+mrTile <= hi; i0 += mrTile {
-			mul2x4(cd[i0*n+j0:], n, ad[i0*k:], k, bp, jw, accumulate)
+		if bt {
+			packPanelBT(bp, bd, k, j0, jw)
+		} else {
+			packPanelB(bp, bd, k, n, j0, jw)
 		}
-		if i0 < hi {
-			mulEdge(cd[i0*n+j0:], n, ad[i0*k:], k, hi-i0, bp, nrTile, jw, accumulate)
+		i := lo
+		for ; i+mrTile <= hi; i += mrTile {
+			microTile(cd[i*n+j0:], n, ad[i*ars:], ars, aps, bp, k, jw, acc)
+		}
+		if i < hi {
+			mulEdge(cd[i*n+j0:], n, ad[i*ars:], ars, aps, hi-i, bp, k, jw, acc)
 		}
 	}
 	kernelScratch.Put(panel)
-}
-
-// MatMulATInto computes C = Aᵀ·B for A [k,m], B [k,n] into C [m,n]
-// (accumulating when requested) — the shape conv backward needs for
-// input-column gradients. The worker gathers its slice of Aᵀ into a
-// contiguous strip once, then runs the same packed-panel core as
-// MatMulInto.
-//
-//seglint:hotpath conv backward input-gradient kernel; 0-alloc on the serial path
-func MatMulATInto(c, a, b *Tensor, accumulate bool) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: matmulAT needs rank-2 inputs")
-	}
-	k, m := a.Dim(0), a.Dim(1)
-	if b.Dim(0) != k {
-		panic(fmt.Sprintf("tensor: matmulAT inner dims %v × %v", a.Shape, b.Shape))
-	}
-	n := b.Dim(1)
-	checkMatMulOut(c, m, n, "matmulAT")
-	cd, ad, bd := c.Data, a.Data, b.Data
-	if parallelDegree(m) <= 1 {
-		matmulATRows(cd, ad, bd, k, m, n, 0, m, accumulate)
-		return
-	}
-	Parallel(m, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
-		matmulATRows(cd, ad, bd, k, m, n, lo, hi, accumulate)
-	})
-}
-
-// matmulATRows is the per-worker body of MatMulATInto: rows [lo,hi)
-// of C = Aᵀ·B, gathering the worker's strip of Aᵀ once up front.
-func matmulATRows(cd, ad, bd []float32, k, m, n, lo, hi int, accumulate bool) {
-	rows := hi - lo
-	apanel := kernelScratch.GetRaw(rows * k)
-	ap := apanel.Data
-	packPanelAT(ap, ad, k, m, lo, rows)
-	bpanel := kernelScratch.GetRaw(k * nrTile)
-	bp := bpanel.Data
-	for j0 := 0; j0 < n; j0 += nrTile {
-		jw := min(nrTile, n-j0)
-		packPanelB(bp, bd, k, n, j0, jw)
-		r0 := 0
-		for ; r0+mrTile <= rows; r0 += mrTile {
-			mul2x4(cd[(lo+r0)*n+j0:], n, ap[r0*k:], k, bp, jw, accumulate)
-		}
-		if r0 < rows {
-			mulEdge(cd[(lo+r0)*n+j0:], n, ap[r0*k:], k, rows-r0, bp, nrTile, jw, accumulate)
-		}
-	}
-	kernelScratch.Put(bpanel)
-	kernelScratch.Put(apanel)
-}
-
-// MatMulBTInto computes C = A·Bᵀ for A [m,k], B [n,k] into C [m,n].
-// Both operands stream contiguously over k, so no packing is needed;
-// the micro-tile holds 4×4 running dot products in registers (the dot
-// form reuses each loaded value four times, so the larger tile pays
-// for itself here).
-//
-//seglint:hotpath conv backward weight-gradient kernel; 0-alloc on the serial path
-func MatMulBTInto(c, a, b *Tensor, accumulate bool) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: matmulBT needs rank-2 inputs")
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	n := b.Dim(0)
-	if b.Dim(1) != k {
-		panic(fmt.Sprintf("tensor: matmulBT inner dims %v × %v", a.Shape, b.Shape))
-	}
-	checkMatMulOut(c, m, n, "matmulBT")
-	cd, ad, bd := c.Data, a.Data, b.Data
-	if parallelDegree(m) <= 1 {
-		matmulBTRows(cd, ad, bd, k, n, 0, m, accumulate)
-		return
-	}
-	Parallel(m, func(lo, hi int) { //seglint:ignore hotalloc one closure per parallel launch; the 0-alloc budget path (GOMAXPROCS=1) bypasses it
-		matmulBTRows(cd, ad, bd, k, n, lo, hi, accumulate)
-	})
-}
-
-// matmulBTRows is the per-worker body of MatMulBTInto: rows [lo,hi)
-// of C = A·Bᵀ as streaming dot-product tiles.
-func matmulBTRows(cd, ad, bd []float32, k, n, lo, hi int, accumulate bool) {
-	i0 := lo
-	for ; i0+4 <= hi; i0 += 4 {
-		for j0 := 0; j0 < n; j0 += 4 {
-			dot4x4(cd[i0*n+j0:], n, ad[i0*k:], k, bd[j0*k:], k,
-				4, min(4, n-j0), accumulate)
-		}
-	}
-	if i0 < hi {
-		for j0 := 0; j0 < n; j0 += 4 {
-			dot4x4(cd[i0*n+j0:], n, ad[i0*k:], k, bd[j0*k:], k,
-				hi-i0, min(4, n-j0), accumulate)
-		}
-	}
 }
 
 // MatMulRefInto is the unblocked reference kernel the tiled paths are
@@ -193,7 +132,7 @@ func MatMulRefInto(c, a, b *Tensor, accumulate bool) {
 			for p, av := range arow {
 				brow := b.Data[p*n : (p+1)*n]
 				for j, bv := range brow {
-					crow[j] += av * bv
+					crow[j] += float32(av * bv)
 				}
 			}
 		}
@@ -237,173 +176,118 @@ func packPanelB(bp, b []float32, k, n, j0, jw int) {
 	}
 }
 
-// packPanelAT gathers iw columns of A [k,m] starting at column i0
-// into ap as iw contiguous rows of length k (ap[r*k+p] = A[p, i0+r]).
-func packPanelAT(ap, a []float32, k, m, i0, iw int) {
-	for r := 0; r < iw; r++ {
-		col := i0 + r
-		dst := ap[r*k : r*k+k]
-		for p := 0; p < k; p++ {
-			dst[p] = a[p*m+col]
+// packPanelBT copies rows j0..j0+jw-1 of B [n,k] into bp as a dense
+// k×nrTile panel of their transpose (zero-padded past jw), so the
+// weight-gradient product reuses the packed-B tile.
+func packPanelBT(bp, b []float32, k, j0, jw int) {
+	if jw == nrTile {
+		r0 := b[(j0+0)*k : (j0+1)*k]
+		r1 := b[(j0+1)*k : (j0+2)*k]
+		r2 := b[(j0+2)*k : (j0+3)*k]
+		r3 := b[(j0+3)*k : (j0+4)*k]
+		for p := range r0 {
+			dst := (*[nrTile]float32)(bp[p*nrTile:])
+			dst[0], dst[1], dst[2], dst[3] = r0[p], r1[p], r2[p], r3[p]
+		}
+		return
+	}
+	for q := 0; q < nrTile; q++ {
+		if q >= jw {
+			for p := 0; p < k; p++ {
+				bp[p*nrTile+q] = 0
+			}
+			continue
+		}
+		for p, v := range b[(j0+q)*k : (j0+q+1)*k] {
+			bp[p*nrTile+q] = v
 		}
 	}
 }
 
-// mul2x4 is the register-blocked core: a 2×4 tile of C accumulated
-// over the full k extent. a holds 2 contiguous rows of stride as; b is
-// a packed k×nrTile panel walked via array-pointer loads. The k loop
-// is unrolled ×2; each accumulator still folds terms in ascending p
-// order, so the result is bit-identical to a scalar p-loop. jw ≤ 4
-// columns are written back.
-func mul2x4(c []float32, cs int, a []float32, as int, b []float32, jw int, acc bool) {
-	a0 := a[0*as : 0*as+as : 0*as+as]
-	a1 := a[1*as : 1*as+as : 1*as+as]
-	var s00, s01, s02, s03 float32
-	var s10, s11, s12, s13 float32
-	bb := b
-	p := 0
-	for ; p+2 <= as; p += 2 {
-		bq := (*[8]float32)(bb)
-		bb = bb[8:]
-		av, aw := a0[p], a0[p+1]
-		s00 += av * bq[0]
-		s01 += av * bq[1]
-		s02 += av * bq[2]
-		s03 += av * bq[3]
-		s00 += aw * bq[4]
-		s01 += aw * bq[5]
-		s02 += aw * bq[6]
-		s03 += aw * bq[7]
-		av, aw = a1[p], a1[p+1]
-		s10 += av * bq[0]
-		s11 += av * bq[1]
-		s12 += av * bq[2]
-		s13 += av * bq[3]
-		s10 += aw * bq[4]
-		s11 += aw * bq[5]
-		s12 += aw * bq[6]
-		s13 += aw * bq[7]
+// microTile computes one mrTile-row tile of C against a packed panel
+// b, writing jw ≤ nrTile columns: c[r*cs+q] (+)= Σ_p a[r*ars+p*aps]·b[p*nrTile+q].
+// It checks every bound tile4x4 relies on; a partial panel runs the
+// full tile into a stack tile and copies jw columns out.
+func microTile(c []float32, cs int, a []float32, ars, aps int, b []float32, k, jw int, acc bool) {
+	if k > 0 {
+		_ = a[(mrTile-1)*ars+(k-1)*aps]
+		_ = b[k*nrTile-1]
 	}
-	for ; p < as; p++ {
-		bq := (*[4]float32)(bb)
-		bb = bb[4:]
-		av := a0[p]
-		s00 += av * bq[0]
-		s01 += av * bq[1]
-		s02 += av * bq[2]
-		s03 += av * bq[3]
-		av = a1[p]
-		s10 += av * bq[0]
-		s11 += av * bq[1]
-		s12 += av * bq[2]
-		s13 += av * bq[3]
+	if jw == nrTile {
+		_ = c[(mrTile-1)*cs+nrTile-1]
+		tile4x4(c, cs, a, ars, aps, b, k, acc) //seglint:ignore hotalloc body-less assembly tile; assembly cannot reach the allocator
+		return
+	}
+	var t [mrTile * nrTile]float32
+	tile4x4(t[:], nrTile, a, ars, aps, b, k, false) //seglint:ignore hotalloc body-less assembly tile; assembly cannot reach the allocator
+	for r := 0; r < mrTile; r++ {
+		crow := c[r*cs : r*cs+jw]
+		trow := t[r*nrTile : r*nrTile+jw]
+		if acc {
+			for q, v := range trow {
+				crow[q] += v
+			}
+		} else {
+			copy(crow, trow)
+		}
+	}
+}
+
+// tileGo is the portable 4×4 tile: what tile4x4 computes, in Go. It
+// folds p in ascending order into sixteen scalar accumulators (gc
+// keeps scalars in registers, not arrays). It is the non-amd64 tile
+// and the oracle the assembly is tested against.
+func tileGo(c []float32, cs int, a []float32, ars, aps int, b []float32, k int, acc bool) {
+	var s00, s01, s02, s03, s10, s11, s12, s13 float32
+	var s20, s21, s22, s23, s30, s31, s32, s33 float32
+	for p := 0; p < k; p++ {
+		bq := (*[nrTile]float32)(b[p*nrTile:])
+		a0, a1, a2, a3 := a[p*aps], a[ars+p*aps], a[2*ars+p*aps], a[3*ars+p*aps]
+		s00 += float32(a0 * bq[0])
+		s01 += float32(a0 * bq[1])
+		s02 += float32(a0 * bq[2])
+		s03 += float32(a0 * bq[3])
+		s10 += float32(a1 * bq[0])
+		s11 += float32(a1 * bq[1])
+		s12 += float32(a1 * bq[2])
+		s13 += float32(a1 * bq[3])
+		s20 += float32(a2 * bq[0])
+		s21 += float32(a2 * bq[1])
+		s22 += float32(a2 * bq[2])
+		s23 += float32(a2 * bq[3])
+		s30 += float32(a3 * bq[0])
+		s31 += float32(a3 * bq[1])
+		s32 += float32(a3 * bq[2])
+		s33 += float32(a3 * bq[3])
 	}
 	rows := [mrTile][nrTile]float32{
 		{s00, s01, s02, s03},
 		{s10, s11, s12, s13},
+		{s20, s21, s22, s23},
+		{s30, s31, s32, s33},
 	}
-	for r := 0; r < mrTile; r++ {
-		crow := c[r*cs : r*cs+jw]
-		if acc {
-			for q := 0; q < jw; q++ {
-				crow[q] += rows[r][q]
-			}
-		} else {
-			for q := 0; q < jw; q++ {
-				crow[q] = rows[r][q]
+	for r, sr := range rows {
+		crow := (*[nrTile]float32)(c[r*cs:])
+		for q, v := range sr {
+			if acc {
+				crow[q] += v
+			} else {
+				crow[q] = v
 			}
 		}
 	}
 }
 
-// mulEdge handles partial tiles (iw < mrTile rows and/or jw < nrTile
-// columns): plain per-element dot products in the same p order, so
-// edge elements carry identical bits to interior ones.
-func mulEdge(c []float32, cs int, a []float32, as, iw int, b []float32, bs, jw int, acc bool) {
+// mulEdge handles the iw < mrTile rows left after the full tiles:
+// plain per-element dot products in the same p order, so edge
+// elements carry identical bits to interior ones.
+func mulEdge(c []float32, cs int, a []float32, ars, aps, iw int, b []float32, k, jw int, acc bool) {
 	for r := 0; r < iw; r++ {
-		arow := a[r*as : r*as+as]
 		crow := c[r*cs : r*cs+jw]
-		for q := 0; q < jw; q++ {
+		for q := range crow {
 			var s float32
-			for p := 0; p < as; p++ {
-				s += arow[p] * b[p*bs+q]
-			}
-			if acc {
-				crow[q] += s
-			} else {
-				crow[q] = s
-			}
-		}
-	}
-}
-
-// dot4x4 accumulates an iw×jw tile of running dot products where both
-// operands stream contiguously over k: C[r,q] (+)= Σ_p a[r,p]·b[q,p].
-func dot4x4(c []float32, cs int, a []float32, as int, b []float32, bs int, iw, jw int, acc bool) {
-	if iw == 4 && jw == 4 {
-		a0 := a[0*as : 0*as+as : 0*as+as]
-		a1 := a[1*as : 1*as+as : 1*as+as]
-		a2 := a[2*as : 2*as+as : 2*as+as]
-		a3 := a[3*as : 3*as+as : 3*as+as]
-		b0 := b[0*bs : 0*bs+bs : 0*bs+bs]
-		b1 := b[1*bs : 1*bs+bs : 1*bs+bs]
-		b2 := b[2*bs : 2*bs+bs : 2*bs+bs]
-		b3 := b[3*bs : 3*bs+bs : 3*bs+bs]
-		var s00, s01, s02, s03 float32
-		var s10, s11, s12, s13 float32
-		var s20, s21, s22, s23 float32
-		var s30, s31, s32, s33 float32
-		for p := 0; p < as; p++ {
-			v0, v1, v2, v3 := b0[p], b1[p], b2[p], b3[p]
-			av := a0[p]
-			s00 += av * v0
-			s01 += av * v1
-			s02 += av * v2
-			s03 += av * v3
-			av = a1[p]
-			s10 += av * v0
-			s11 += av * v1
-			s12 += av * v2
-			s13 += av * v3
-			av = a2[p]
-			s20 += av * v0
-			s21 += av * v1
-			s22 += av * v2
-			s23 += av * v3
-			av = a3[p]
-			s30 += av * v0
-			s31 += av * v1
-			s32 += av * v2
-			s33 += av * v3
-		}
-		rows := [4][4]float32{
-			{s00, s01, s02, s03},
-			{s10, s11, s12, s13},
-			{s20, s21, s22, s23},
-			{s30, s31, s32, s33},
-		}
-		for r := 0; r < 4; r++ {
-			crow := c[r*cs : r*cs+4]
-			if acc {
-				for q := 0; q < 4; q++ {
-					crow[q] += rows[r][q]
-				}
-			} else {
-				for q := 0; q < 4; q++ {
-					crow[q] = rows[r][q]
-				}
-			}
-		}
-		return
-	}
-	for r := 0; r < iw; r++ {
-		arow := a[r*as : r*as+as]
-		crow := c[r*cs : r*cs+jw]
-		for q := 0; q < jw; q++ {
-			brow := b[q*bs : q*bs+as]
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
+			for p := 0; p < k; p++ {
+				s += float32(a[r*ars+p*aps] * b[p*nrTile+q])
 			}
 			if acc {
 				crow[q] += s

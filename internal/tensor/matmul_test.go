@@ -19,6 +19,19 @@ func transpose(t *Tensor) *Tensor {
 	return out
 }
 
+// matmulAT computes C (+)= Aᵀ·B for A [k,m] and B [k,n] by running
+// the input-gradient row worker over every row.
+func matmulAT(c, a, b *Tensor, accumulate bool) {
+	k, m := a.Dim(0), a.Dim(1)
+	matmulATRows(c.Data, a.Data, b.Data, k, m, b.Dim(1), 0, m, accumulate)
+}
+
+// matmulBT computes C (+)= A·Bᵀ for A [m,k] and B [n,k] by running
+// the weight-gradient row worker over every row.
+func matmulBT(c, a, b *Tensor, accumulate bool) {
+	matmulBTRows(c.Data, a.Data, b.Data, a.Dim(1), b.Dim(0), 0, a.Dim(0), accumulate)
+}
+
 func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
@@ -66,12 +79,12 @@ func TestMatMulBitIdenticalToRef(t *testing.T) {
 
 				at := transpose(a)
 				gotAT := New(m, n)
-				MatMulATInto(gotAT, at, b, false)
+				matmulAT(gotAT, at, b, false)
 				requireBitIdentical(t, gotAT, want, "matmulAT")
 
 				bt := transpose(b)
 				gotBT := New(m, n)
-				MatMulBTInto(gotBT, a, bt, false)
+				matmulBT(gotBT, a, bt, false)
 				requireBitIdentical(t, gotBT, want, "matmulBT")
 			}
 		}
@@ -97,11 +110,11 @@ func TestMatMulAccumulateEdgeShapes(t *testing.T) {
 		tensorsClose(t, got, want, 1e-4, "matmul accumulate")
 
 		gotAT := base.Clone()
-		MatMulATInto(gotAT, transpose(a), b, true)
+		matmulAT(gotAT, transpose(a), b, true)
 		tensorsClose(t, gotAT, want, 1e-4, "matmulAT accumulate")
 
 		gotBT := base.Clone()
-		MatMulBTInto(gotBT, a, transpose(b), true)
+		matmulBT(gotBT, a, transpose(b), true)
 		tensorsClose(t, gotBT, want, 1e-4, "matmulBT accumulate")
 	}
 }
@@ -145,8 +158,8 @@ func TestMatMulNaNInfPropagation(t *testing.T) {
 	}
 
 	check("matmul", func(c *Tensor) { MatMulInto(c, a, b, false) })
-	check("matmulAT", func(c *Tensor) { MatMulATInto(c, transpose(a), b, false) })
-	check("matmulBT", func(c *Tensor) { MatMulBTInto(c, a, transpose(b), false) })
+	check("matmulAT", func(c *Tensor) { matmulAT(c, transpose(a), b, false) })
+	check("matmulBT", func(c *Tensor) { matmulBT(c, a, transpose(b), false) })
 
 	// Sanity: 0×NaN and 0×Inf really did reach C.
 	c := New(2, 4)

@@ -186,7 +186,7 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	b := Randn(rng, 1, 4, 5)
 	// AT: C = aᵀ·b, shape [6,5].
 	c := New(6, 5)
-	MatMulATInto(c, a, b, false)
+	matmulAT(c, a, b, false)
 	at := New(6, 4)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 6; j++ {
@@ -199,7 +199,7 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	x := Randn(rng, 1, 3, 4)
 	y := Randn(rng, 1, 5, 4)
 	c2 := New(3, 5)
-	MatMulBTInto(c2, x, y, false)
+	matmulBT(c2, x, y, false)
 	yt := New(4, 5)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 4; j++ {
