@@ -55,15 +55,18 @@ type tagBases struct {
 }
 
 // spanNames holds each algorithm's span name, built once per wire so
-// a traced call does not concatenate one.
+// a traced call does not concatenate one, and the suffix that
+// qualifies them for the wire.
 type spanNames struct {
 	naive, ring, rd, bcast, rab, hier string
+	suffix                            string
 }
 
 // spansWith returns the span names with suffix appended to each.
 func spansWith(suffix string) spanNames {
 	return spanNames{
-		naive: "naive" + suffix, ring: "ring" + suffix, rd: "recursive-doubling" + suffix,
+		suffix: suffix,
+		naive:  "naive" + suffix, ring: "ring" + suffix, rd: "recursive-doubling" + suffix,
 		bcast: "binomial-tree" + suffix, rab: "rabenseifner" + suffix, hier: "hier-2level" + suffix,
 	}
 }

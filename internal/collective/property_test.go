@@ -3,7 +3,6 @@ package collective
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,7 +166,7 @@ func TestPropertyAllreduceMatchesReference(t *testing.T) {
 // wireSuffix qualifies subtest names the way span names are: "-fp16"
 // on the binary16 wire, nothing on float32.
 func wireSuffix[E Wire]() string {
-	return strings.TrimPrefix(wireOf[E]().spans.ring, "ring")
+	return wireOf[E]().spans.suffix
 }
 
 func propertyMatchesReference[E Wire](t *testing.T) {

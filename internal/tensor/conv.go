@@ -86,10 +86,6 @@ func im2col(x *Tensor, sample, chanLo, cg int, kh, kw, oh, ow int, s ConvSpec, c
 					src := x.Data[chOff+iy*wd : chOff+(iy+1)*wd]
 					clear(dst[:lo])
 					clear(dst[hi:])
-					if s.Stride == 1 && lo < hi {
-						copy(dst[lo:hi], src[lo+off:hi+off])
-						continue
-					}
 					for ox := lo; ox < hi; ox++ {
 						dst[ox] = src[ox*s.Stride+off]
 					}
@@ -119,13 +115,6 @@ func col2im(dx *Tensor, sample, chanLo, cg int, kh, kw, oh, ow int, s ConvSpec, 
 					}
 					src := col.Data[row+oy*ow+lo : row+oy*ow+hi]
 					dst := dx.Data[chOff+iy*wd : chOff+(iy+1)*wd]
-					if s.Stride == 1 && lo < hi {
-						d := dst[lo+off : hi+off]
-						for j, v := range src {
-							d[j] += v
-						}
-						continue
-					}
 					for j, v := range src {
 						dst[(lo+j)*s.Stride+off] += v
 					}
@@ -191,15 +180,8 @@ func dwForward(op, xp, wt []float32, h, wd, oh, ow int, s ConvSpec) {
 			for ox := range orow[:lo] {
 				orow[ox] += z
 			}
-			if s.Stride == 1 && lo < hi {
-				o := orow[lo:hi]
-				for j, v := range row[lo+off : hi+off] {
-					o[j] += float32(wv * v)
-				}
-			} else {
-				for ox := lo; ox < hi; ox++ {
-					orow[ox] += float32(wv * row[ox*s.Stride+off])
-				}
+			for ox := lo; ox < hi; ox++ {
+				orow[ox] += float32(wv * row[ox*s.Stride+off])
 			}
 			for ox := hi; ox < ow; ox++ {
 				orow[ox] += z
