@@ -18,14 +18,16 @@ test:
 	go test ./...
 
 # test-cpu reruns the GOMAXPROCS-sensitive packages at one and two
-# procs, so per-entry proc pinning, the collectives' schedules and the
-# kernels' worker splits are checked whatever the runner's core count.
+# procs, so per-entry proc pinning, the collectives' schedules, the
+# kernels' worker splits and the training driver's per-lane traffic
+# are checked whatever the runner's core count.
 test-cpu:
 	go test -cpu 1,2 ./cmd/segbench/ ./internal/collective/ ./internal/transport/ ./internal/tensor/
+	go test -cpu 1,2 -run 'TestDriverTrafficGolden|TestElasticUnfailedMatchesFixedWorld' ./internal/train/
 
 race:
 	go test -race $(RACE_PKGS)
-	go test -race -run 'TestElastic|TestMixedPrecision|TestHealthLedgerGolden|TestHealthDivergence' ./internal/train/
+	go test -race -run 'TestElastic|TestMixedPrecision|TestHealthLedgerGolden|TestHealthDivergence|TestRestartEquivalence|TestRecoveryFromDoubleCrash|TestCrashBeforeFirstCheckpoint|TestDriverTrafficGolden' ./internal/train/
 
 vet:
 	go vet ./...

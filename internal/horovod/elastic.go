@@ -7,59 +7,17 @@ import (
 	"segscale/internal/collective"
 	"segscale/internal/nn"
 	"segscale/internal/topology"
-	"segscale/internal/transport"
 )
 
-// Elastic runtime: Horovod 0.20 introduced elastic training, where a
-// failed rank shrinks the world in place — the survivors re-form
-// communicators over the slots that are still alive and training
-// continues without a checkpoint restart. This file holds the pieces
-// specific to a world whose comm ranks are a subset of the machine's
-// slots: construction from a member list, the node partition that
-// hierarchical allreduce runs over, and the bit-exact float64
-// broadcast that re-synchronizes optimizer and batch-norm state when
-// the world changes shape.
-
-// NewElasticRuntime builds one rank's runtime over a (possibly
-// shrunken) world. members maps comm rank → original machine slot and
-// must be strictly ascending, within the machine, and exactly as long
-// as the world — comm rank i of c stands for machine slot members[i].
-func NewElasticRuntime(c *transport.Comm, mach topology.Machine, members []int, cfg Config) (*Runtime, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := mach.Validate(); err != nil {
-		return nil, err
-	}
-	if len(members) != c.Size() {
-		return nil, fmt.Errorf("horovod: %d members, world has %d ranks", len(members), c.Size())
-	}
-	for i, s := range members {
-		if s < 0 || s >= mach.Ranks() {
-			return nil, fmt.Errorf("horovod: member slot %d outside machine of %d ranks", s, mach.Ranks())
-		}
-		if i > 0 && s <= members[i-1] {
-			return nil, fmt.Errorf("horovod: member slots not strictly ascending at index %d", i)
-		}
-	}
-	world := make([]int, c.Size())
-	for i := range world {
-		world[i] = i
-	}
-	mem := make([]int, len(members))
-	copy(mem, members)
-	return &Runtime{
-		Comm: c, Mach: mach, Cfg: cfg,
-		world:      world,
-		members:    mem,
-		nodeGroups: nodeGroupsFor(mach, mem),
-		elastic:    true,
-		probe:      c.Probe(),
-	}, nil
-}
-
-// Members returns the machine slot each comm rank stands for.
-func (r *Runtime) Members() []int { return r.members }
+// Elastic pieces of the runtime: Horovod 0.20 introduced elastic
+// training, where a failed rank shrinks the world in place — the
+// survivors re-form communicators over the slots that are still alive
+// and training continues without a checkpoint restart. NewRuntimeOver
+// builds a runtime over any member list, the full identity included;
+// this file holds the node partition hierarchical allreduce runs over
+// for such a list, and the movable-root, bit-exact broadcasts that
+// re-synchronize parameters, optimizer and batch-norm state when the
+// world changes shape.
 
 // nodeGroupsFor partitions comm ranks by the machine node of their
 // member slot. members is ascending and Node is monotone in the slot,
@@ -123,19 +81,13 @@ func (r *Runtime) BroadcastFrom(root int, buf []float32) error {
 	return nil
 }
 
-// BroadcastFloat64Exact overwrites buf on every rank with rank 0's
-// contents, bit-exactly. The wire carries float32 words, so each
-// float64 is split into its two IEEE-754 halves bit-cast as float32 —
-// BcastTree and the transport only copy, never do arithmetic, so the
-// round trip is lossless. Elastic resume uses this to re-synchronize
-// batch-norm running statistics and optimizer state: an approximate
+// BroadcastFloat64ExactFrom overwrites buf on every rank with the root
+// comm rank's contents, bit-exactly. The wire carries float32 words,
+// so each float64 is split into its two IEEE-754 halves bit-cast as
+// float32 — BcastTree and the transport only copy, never do
+// arithmetic, so the round trip is lossless. Elastic resume uses this
+// to re-synchronize batch-norm running statistics: an approximate
 // broadcast there would break the byte-identical-rerun guarantee.
-func (r *Runtime) BroadcastFloat64Exact(buf []float64) error {
-	return r.BroadcastFloat64ExactFrom(0, buf)
-}
-
-// BroadcastFloat64ExactFrom is BroadcastFloat64Exact with a movable
-// root comm rank.
 func (r *Runtime) BroadcastFloat64ExactFrom(root int, buf []float64) error {
 	if r.Size() == 1 {
 		return nil

@@ -5,28 +5,29 @@ import (
 	"reflect"
 	"testing"
 
+	"segscale/internal/collective"
 	"segscale/internal/netmodel"
 	"segscale/internal/topology"
 	"segscale/internal/transport"
 )
 
-func TestNewElasticRuntimeValidation(t *testing.T) {
+func TestNewRuntimeOverValidation(t *testing.T) {
 	mach := topology.Summit(1) // 6 slots
 	w, err := transport.NewWorld(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Run(func(c *transport.Comm) error {
-		if _, err := NewElasticRuntime(c, mach, []int{0, 1, 2, 4, 5}, Default()); err != nil {
+		if _, err := NewRuntimeOver(c, mach, []int{0, 1, 2, 4, 5}, Default()); err != nil {
 			t.Errorf("valid members: %v", err)
 		}
-		if _, err := NewElasticRuntime(c, mach, []int{0, 1, 2, 4}, Default()); err == nil {
+		if _, err := NewRuntimeOver(c, mach, []int{0, 1, 2, 4}, Default()); err == nil {
 			t.Error("member count != world size: want error")
 		}
-		if _, err := NewElasticRuntime(c, mach, []int{0, 1, 2, 4, 6}, Default()); err == nil {
+		if _, err := NewRuntimeOver(c, mach, []int{0, 1, 2, 4, 6}, Default()); err == nil {
 			t.Error("slot outside machine: want error")
 		}
-		if _, err := NewElasticRuntime(c, mach, []int{0, 2, 1, 4, 5}, Default()); err == nil {
+		if _, err := NewRuntimeOver(c, mach, []int{0, 2, 1, 4, 5}, Default()); err == nil {
 			t.Error("non-ascending members: want error")
 		}
 		return nil
@@ -80,7 +81,7 @@ func TestElasticHierAllreduceShrunkenWorld(t *testing.T) {
 			}
 			outs := make([][]float32, p)
 			if err := transport.Run(p, func(c *transport.Comm) error {
-				rt, err := NewElasticRuntime(c, mach, members, cse.cfg())
+				rt, err := NewRuntimeOver(c, mach, members, cse.cfg())
 				if err != nil {
 					return err
 				}
@@ -125,7 +126,7 @@ func TestBroadcastFloat64ExactBits(t *testing.T) {
 				buf[i] = float64(c.Rank()) // garbage to overwrite
 			}
 		}
-		if err := rt.BroadcastFloat64Exact(buf); err != nil {
+		if err := rt.BroadcastFloat64ExactFrom(0, buf); err != nil {
 			return err
 		}
 		for i, v := range buf {
@@ -136,5 +137,66 @@ func TestBroadcastFloat64ExactBits(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHierLeaderFullMembershipIsLeader: hier-leader takes its group
+// form only when the members are not the machine's full identity. A
+// runtime over the full identity — built by NewRuntime or by
+// NewRuntimeOver — runs the classic leader hierarchy, bit for bit,
+// on a buffer large enough that the two forms round differently.
+func TestHierLeaderFullMembershipIsLeader(t *testing.T) {
+	const p, n = 24, 1 << 18
+	mach := topology.ExactFor(p)
+	input := func(rank int) []float32 {
+		buf := make([]float32, n)
+		for i := range buf {
+			buf[i] = float32((rank*n+i)*2654435761%1000003)/1000003 - 0.5
+		}
+		return buf
+	}
+	want := make([][]float32, p)
+	if err := transport.Run(p, func(c *transport.Comm) error {
+		buf := input(c.Rank())
+		want[c.Rank()] = buf
+		return collective.AllreduceHierLeader(c, mach, buf)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default()
+	cfg.Hierarchical = true
+	identity := make([]int, p)
+	for i := range identity {
+		identity[i] = i
+	}
+	for _, cse := range []struct {
+		name string
+		make func(c *transport.Comm) (*Runtime, error)
+	}{
+		{"NewRuntime", func(c *transport.Comm) (*Runtime, error) { return NewRuntime(c, mach, cfg) }},
+		{"NewRuntimeOver", func(c *transport.Comm) (*Runtime, error) { return NewRuntimeOver(c, mach, identity, cfg) }},
+	} {
+		if err := transport.Run(p, func(c *transport.Comm) error {
+			rt, err := cse.make(c)
+			if err != nil {
+				return err
+			}
+			buf := input(c.Rank())
+			if err := allreduce(rt, buf); err != nil {
+				return err
+			}
+			diff := 0
+			for i, v := range buf {
+				if math.Float32bits(v) != math.Float32bits(want[c.Rank()][i]) {
+					diff++
+				}
+			}
+			if diff > 0 {
+				t.Errorf("%s: rank %d differs from AllreduceHierLeader on %d of %d elements", cse.name, c.Rank(), diff, n)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

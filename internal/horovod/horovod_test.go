@@ -398,7 +398,7 @@ func TestAllgatherAndBroadcast(t *testing.T) {
 		gathered[c.Rank()] = shards
 
 		buf := []float32{float32(c.Rank() + 100)}
-		if err := rt.Broadcast(buf); err != nil {
+		if err := rt.BroadcastFrom(0, buf); err != nil {
 			return err
 		}
 		bcast[c.Rank()] = buf

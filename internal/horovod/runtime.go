@@ -27,14 +27,10 @@ type Runtime struct {
 	fused   []float32 // reusable fusion buffer
 	fused16 []uint16  // reusable binary16 wire buffer (FP16Compression)
 
-	// members maps comm rank → original machine slot: the identity for
-	// a full world, the ascending survivor slots for an elastic one.
-	members []int
 	// nodeGroups partitions comm ranks by the machine node their
 	// member slot lives on — the partition every hierarchical
 	// allreduce runs over, prebuilt so the step path never rebuilds it.
 	nodeGroups [][]int
-	elastic    bool
 
 	// Fusion-plan cache: the grouping is a pure function of the
 	// parameter-size vector and the threshold, and the trainer submits
@@ -56,17 +52,45 @@ type Runtime struct {
 	commErr   error
 }
 
-// NewRuntime builds one rank's runtime. The machine layout must match
-// the world size (it defines the node groups hierarchical allreduce
-// uses); a mismatch or an invalid configuration is reported as an
-// error, never a panic — in a multi-rank world a panicking
+// NewRuntime builds one rank's runtime over the machine's full world,
+// where comm rank i stands for machine slot i. The machine layout must
+// match the world size (it defines the node groups hierarchical
+// allreduce uses); a mismatch or an invalid configuration is reported
+// as an error, never a panic — in a multi-rank world a panicking
 // constructor tears down every in-process rank at once.
 func NewRuntime(c *transport.Comm, mach topology.Machine, cfg Config) (*Runtime, error) {
+	if mach.Ranks() != c.Size() {
+		return nil, fmt.Errorf("horovod: machine has %d ranks, world has %d", mach.Ranks(), c.Size())
+	}
+	members := make([]int, c.Size())
+	for i := range members {
+		members[i] = i
+	}
+	return NewRuntimeOver(c, mach, members, cfg)
+}
+
+// NewRuntimeOver builds one rank's runtime over a world whose comm rank
+// i stands for machine slot members[i]: the machine's full identity
+// for a fixed world, the ascending survivor slots after an elastic
+// shrink. members must be strictly ascending, within the machine, and
+// exactly as long as the world.
+func NewRuntimeOver(c *transport.Comm, mach topology.Machine, members []int, cfg Config) (*Runtime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if mach.Ranks() != c.Size() {
-		return nil, fmt.Errorf("horovod: machine has %d ranks, world has %d", mach.Ranks(), c.Size())
+	if err := mach.Validate(); err != nil {
+		return nil, err
+	}
+	if len(members) != c.Size() {
+		return nil, fmt.Errorf("horovod: %d members, world has %d ranks", len(members), c.Size())
+	}
+	for i, s := range members {
+		if s < 0 || s >= mach.Ranks() {
+			return nil, fmt.Errorf("horovod: member slot %d outside machine of %d ranks", s, mach.Ranks())
+		}
+		if i > 0 && s <= members[i-1] {
+			return nil, fmt.Errorf("horovod: member slots not strictly ascending at index %d", i)
+		}
 	}
 	world := make([]int, c.Size())
 	for i := range world {
@@ -75,8 +99,7 @@ func NewRuntime(c *transport.Comm, mach topology.Machine, cfg Config) (*Runtime,
 	return &Runtime{
 		Comm: c, Mach: mach, Cfg: cfg,
 		world:      world,
-		members:    world,
-		nodeGroups: nodeGroupsFor(mach, world),
+		nodeGroups: nodeGroupsFor(mach, members),
 		probe:      c.Probe(),
 	}, nil
 }
@@ -267,14 +290,15 @@ func unpackFused(params []*nn.Param, group []int, buf []float32) {
 func allreduce[E collective.Wire](r *Runtime, buf []E) error {
 	switch r.Cfg.ResolveAlgorithm() {
 	case netmodel.AlgHierLeader:
-		if r.elastic {
-			// The classic leader hierarchy assumes a full machine; an
-			// elastic world runs the group form over the survivor
-			// partition instead.
-			intra, inter := topology.SummitLinkSpecs()
-			return collective.AllreduceHierGroups(r.Comm, r.nodeGroups, intra, inter, buf)
+		// Members are strictly ascending machine slots, so a world as
+		// large as the machine is its full identity.
+		if r.Size() == r.Mach.Ranks() {
+			return collective.AllreduceHierLeader(r.Comm, r.Mach, buf)
 		}
-		return collective.AllreduceHierLeader(r.Comm, r.Mach, buf)
+		// The classic leader hierarchy assumes the full machine; a
+		// shrunken world runs the group form over the survivor
+		// partition instead.
+		fallthrough
 	case netmodel.AlgHierTwoLevel:
 		intra, inter := topology.SummitLinkSpecs()
 		return collective.AllreduceHierGroups(r.Comm, r.nodeGroups, intra, inter, buf)
@@ -316,15 +340,6 @@ func (r *Runtime) Allgather(local []float32) ([][]float32, error) {
 		return nil, fmt.Errorf("horovod: allgather: %w", err)
 	}
 	return shards, nil
-}
-
-// Broadcast overwrites buf on every rank with rank 0's contents —
-// hvd.broadcast for a single tensor.
-func (r *Runtime) Broadcast(buf []float32) error {
-	if err := collective.BcastTree(r.Comm, r.world, buf); err != nil {
-		return fmt.Errorf("horovod: broadcast: %w", err)
-	}
-	return nil
 }
 
 // AllreduceScalar averages one float64 across ranks (used for loss

@@ -15,7 +15,9 @@
 // randomness, and the schedule are all pure functions of
 // (seed, rank, epoch, step), a recovered run finishes bit-identically
 // to one that never failed — the invariant the restart-equivalence
-// test locks in.
+// test locks in. With Config.Elastic the same driver instead shrinks
+// the world around the dead rank and rolls the survivors back to an
+// in-memory commit (elastic.go).
 package train
 
 import (
@@ -116,15 +118,16 @@ type Config struct {
 	// recovery. In elastic mode the same budget bounds shrink
 	// transitions (scheduled regrows are free).
 	MaxRestarts int
-	// Elastic switches crash recovery from checkpoint-restart to
+	// Elastic switches crash recovery from checkpoint restart to
 	// elastic membership: when a rank dies, the survivors re-form a
 	// smaller world in place — model replicas, optimiser state, and
-	// the global step carry over, data shards rebalance
-	// deterministically over the remaining ranks — and training
-	// continues from the top of the interrupted epoch without reading
-	// a checkpoint. The elastic driver is a separate code path; the
-	// default path's operation order (pinned by the
-	// restart-equivalence goldens) is untouched.
+	// the global step carry over from the last epoch-boundary commit,
+	// data shards rebalance deterministically over the remaining
+	// ranks — and training continues from the top of the interrupted
+	// epoch without reading a checkpoint. Both modes run the same
+	// training driver and differ only in its recovery policy
+	// (checkpointRestart vs replicaRollback), each of which keeps its
+	// own wire schedule, pinned by the goldens.
 	Elastic bool
 	// RejoinEpoch, when positive, schedules a regrow: if the world is
 	// short-handed when that epoch begins, the dead slots rejoin, get
@@ -286,7 +289,7 @@ type Result struct {
 // to 2048 step-clock ticks (operation counts, not seconds).
 var stepBucketsOps = telemetry.ExpBuckets(1, 2, 12)
 
-// recoverable reports whether err is a failure checkpoint-restart can
+// recoverable reports whether err is a failure a recovery policy can
 // mask: an injected crash, a poisoned/drained world, a delivery
 // failure after retry exhaustion, or an operation timeout. Anything
 // else (config, I/O, model errors) propagates immediately.
@@ -317,7 +320,10 @@ func Run(cfg Config) (*Result, error) {
 		// half is Horovod's binary16 compressed allreduce.
 		cfg.Horovod.FP16Compression = true
 	}
-	mach := topology.ExactFor(cfg.World)
+	members, err := transport.NewMembership(cfg.World)
+	if err != nil {
+		return nil, fmt.Errorf("train: %w", err)
+	}
 	trainSet := segdata.New(cfg.TrainSize, cfg.Model.InputSize, cfg.Model.InputSize, cfg.Seed)
 	trainSet.Style = cfg.DataStyle
 	evalSet := segdata.New(cfg.EvalSize, cfg.Model.InputSize, cfg.Model.InputSize, cfg.Seed+1_000_000)
@@ -332,58 +338,28 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sched := nn.NewPolySchedule(cfg.BaseLR, totalSteps, warmup, lrWorld)
 
+	var policy recovery = checkpointRestart{}
+	if cfg.Elastic {
+		policy = replicaRollback{}
+	}
 	run := &runState{
 		cfg:           cfg,
-		mach:          mach,
+		mach:          topology.ExactFor(cfg.World),
 		trainSet:      trainSet,
 		evalSet:       evalSet,
 		sched:         sched,
 		stepsPerEpoch: stepsPerEpoch,
 		history:       make([]EpochStats, cfg.Epochs),
 		savedEpoch:    -1,
-		doneEpoch:     -1,
 		probe:         cfg.Telemetry.NewProbe("train", telemetry.NewStepClock()),
+		policy:        policy,
+		members:       members,
+		replicas:      make([]*replica, cfg.World),
+		doneEpoch:     -1,
 	}
-	if cfg.Elastic {
-		m, err := transport.NewMembership(cfg.World)
-		if err != nil {
-			return nil, fmt.Errorf("train: %w", err)
-		}
-		run.members = m
-		run.replicas = make(map[int]*replica)
-	}
-
-	restarts := 0
-	if cfg.Elastic {
-		if err := run.runElastic(); err != nil {
-			return nil, fmt.Errorf("train: %w", err)
-		}
-		restarts = run.shrinks + run.regrows
-	} else {
-		startEpoch := 0
-		for {
-			err := run.incarnation(startEpoch, restarts)
-			if err == nil {
-				break
-			}
-			if !recoverable(err) || restarts >= cfg.MaxRestarts {
-				return nil, fmt.Errorf("train: %w", err)
-			}
-			restarts++
-			run.probe.Counter("recoveries_total").Inc()
-			// Leave an instantaneous RECOVERY event in the trace and the
-			// flight-recorder ring, so a post-crash dump shows where the
-			// pre-crash window ends and the restart begins.
-			run.probe.Mark(timeline.PhaseRecovery, fmt.Sprintf("restart%d: %v", restarts, err))
-			if run.savedEpoch >= 0 {
-				// Roll back to the last epoch rank 0 checkpointed.
-				startEpoch = run.savedEpoch + 1
-			} else {
-				// Failed before the first checkpoint (or none configured):
-				// cold restart from scratch, which is just as deterministic.
-				startEpoch = 0
-			}
-		}
+	restarts, err := run.drive()
+	if err != nil {
+		return nil, fmt.Errorf("train: %w", err)
 	}
 
 	res := &Result{Config: cfg, History: run.history,
@@ -403,9 +379,10 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // runState carries everything that survives across incarnations of
-// the world: datasets, the schedule, accumulated history, and the
-// restore cursor. Rank goroutines of one incarnation are joined
-// before the next starts, so the non-atomic fields are safe.
+// the world: datasets, the schedule, accumulated history, the
+// membership and replicas, and the restore cursors. Rank goroutines of
+// one incarnation are joined before the next starts, so the
+// non-atomic fields are safe.
 type runState struct {
 	cfg           Config
 	mach          topology.Machine
@@ -420,32 +397,181 @@ type runState struct {
 
 	// savedEpoch is the latest epoch whose full state rank 0 wrote to
 	// cfg.CheckpointPath this run (-1 before the first save). It — not
-	// the file's own meta — decides the restore point, so a stale file
-	// from an earlier run can never be mistaken for progress.
+	// the file's own meta — decides the checkpoint restore point, so a
+	// stale file from an earlier run can never be mistaken for progress.
 	savedEpoch int
 
 	probe *telemetry.Probe
 
-	// Elastic-mode state (see elastic.go): the membership over the
-	// original slots, the long-lived per-slot replicas that carry
-	// model/optimiser state across world transitions, the last epoch
-	// comm rank 0 fully recorded, and the transition counters.
-	members   *transport.Membership
-	replicas  map[int]*replica
+	// policy is how the run survives a failed incarnation.
+	policy recovery
+	// members are the machine slots the next incarnation runs over: a
+	// fixed world is a membership that never shrinks. replicas holds
+	// each slot's model and optimiser state, indexed by slot (nil until
+	// that slot's rank builds it; each rank writes only its own entry).
+	members  *transport.Membership
+	replicas []*replica
+	// doneEpoch is the last epoch comm rank 0 recorded past its barrier
+	// (-1 before the first); shrinks and regrows count elastic
+	// membership transitions.
 	doneEpoch int
 	shrinks   int
 	regrows   int
 }
 
-// incarnation builds one world and trains epochs [startEpoch, Epochs).
-// inc numbers the incarnation (0 = first attempt) and gates scheduled
-// crashes: a crash planned for incarnation k fires only there, so the
-// restarted world does not immediately re-die.
-func (rs *runState) incarnation(startEpoch, inc int) error {
+// recovery is what differs between the two ways a run survives a
+// failed incarnation: checkpoint restart (checkpointRestart, the
+// default) and elastic replica rollback (replicaRollback, elastic.go).
+// Everything else — world, probes, replicas, step loop, evaluation,
+// history and checkpoint writes — is the one driver below.
+type recovery interface {
+	// prepare readies rs.replicas for an incarnation over members that
+	// starts at startEpoch. It runs before any rank does and returns
+	// the comm rank state syncs from and the global step a freshly
+	// built replica starts at.
+	prepare(rs *runState, members []int, startEpoch int) (root, gstep int)
+	// sync brings every rank's replica to the incarnation's common
+	// state. It runs on every rank, collectively over rt.
+	sync(rs *runState, rep *replica, rt *horovod.Runtime, root, startEpoch int) error
+	// commit runs on every rank after each epoch barrier.
+	commit(rep *replica)
+	// recover handles the failure err of incarnation inc, in which the
+	// member slots failed died, and returns the epoch the next
+	// incarnation starts at — or an error that ends the run.
+	recover(rs *runState, inc int, err error, failed []int) (startEpoch int, _ error)
+}
+
+// checkpointRestart rebuilds the whole world after a failure and
+// restores every replica from the last checkpoint rank 0 wrote.
+type checkpointRestart struct{}
+
+func (checkpointRestart) prepare(rs *runState, _ []int, startEpoch int) (int, int) {
+	return 0, startEpoch * rs.stepsPerEpoch
+}
+
+// sync restores the full state — weights, float64 batch-norm
+// statistics, optimiser velocity — on every rank from the last
+// checkpoint after a restart, or loads cfg.ResumeFrom on a fresh
+// start. The file is the agreement point; the broadcast from rank 0 is
+// then a no-op but keeps the restored path on the same collective
+// schedule as a fresh start.
+func (checkpointRestart) sync(rs *runState, rep *replica, rt *horovod.Runtime, _, startEpoch int) error {
 	cfg := rs.cfg
-	w, err := transport.NewWorld(cfg.World)
+	switch {
+	case startEpoch > 0:
+		st := checkpoint.State{Params: rep.params, BNs: rep.net.BatchNorms()}
+		if err := checkpoint.LoadStateFile(cfg.CheckpointPath, &st); err != nil {
+			return fmt.Errorf("restore: %w", err)
+		}
+		if st.Meta == nil || st.Meta.Epoch != startEpoch-1 {
+			return fmt.Errorf("restore: checkpoint %q is not the epoch-%d snapshot this run wrote", cfg.CheckpointPath, startEpoch-1)
+		}
+		if st.Velocity != nil {
+			if err := rep.opt.ImportState(rep.params, st.Velocity); err != nil {
+				return fmt.Errorf("restore: %w", err)
+			}
+		}
+	case cfg.ResumeFrom != "":
+		if err := checkpoint.LoadFile(cfg.ResumeFrom, rep.params, rep.net.BatchNorms()); err != nil {
+			return fmt.Errorf("resume: %w", err)
+		}
+	}
+	return rt.BroadcastParams(rep.params)
+}
+
+func (checkpointRestart) commit(*replica) {}
+
+func (checkpointRestart) recover(rs *runState, inc int, err error, _ []int) (int, error) {
+	if !recoverable(err) || inc >= rs.cfg.MaxRestarts {
+		return 0, err
+	}
+	// Every replica is rebuilt fresh and restored from the file.
+	clear(rs.replicas)
+	rs.probe.Counter("recoveries_total").Inc()
+	// Leave an instantaneous RECOVERY event in the trace and the
+	// flight-recorder ring, so a post-crash dump shows where the
+	// pre-crash window ends and the restart begins.
+	rs.probe.Mark(timeline.PhaseRecovery, fmt.Sprintf("restart%d: %v", inc+1, err))
+	// Roll back to the last epoch rank 0 checkpointed. Before the first
+	// save (or with none configured) that is a cold restart from
+	// scratch, which is just as deterministic.
+	return rs.savedEpoch + 1, nil
+}
+
+// drive runs incarnations until the run completes, handing every
+// failure to the recovery policy, and returns how many times the world
+// was rebuilt.
+func (rs *runState) drive() (int, error) {
+	startEpoch := 0
+	for inc := 0; ; inc++ {
+		failed, err := rs.incarnation(startEpoch, inc)
+		if err == nil {
+			return inc, nil
+		}
+		if startEpoch, err = rs.policy.recover(rs, inc, err, failed); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// replica is one slot's model and optimiser state. It lives in
+// runState across incarnations until the recovery policy drops it.
+type replica struct {
+	net    deeplab.Segmenter
+	ws     *tensor.Workspace
+	params []*nn.Param
+	opt    nn.Optimizer
+	gstep  int
+
+	// saved is replicaRollback's in-memory epoch-boundary snapshot
+	// (nil under checkpoint restart); see elastic.go.
+	saved *replicaSnap
+}
+
+func (rs *runState) newReplica(gstep int) *replica {
+	cfg := rs.cfg
+	var net deeplab.Segmenter
+	if cfg.Arch == "fcn" {
+		net = deeplab.NewFCN(cfg.Model)
+	} else {
+		net = deeplab.New(cfg.Model)
+	}
+	// Every activation and kernel scratch buffer this replica touches
+	// comes from one per-rank arena, Reset at each step boundary: after
+	// warmup a training step allocates (almost) nothing. Reuse is
+	// numerically invisible — pooled buffers are either zeroed or fully
+	// overwritten before use — so restart equivalence and the chaos
+	// byte-identity goldens are unaffected.
+	ws := tensor.NewWorkspace()
+	net.SetWorkspace(ws)
+	var opt nn.Optimizer
+	if cfg.Optimizer == "lars" {
+		opt = nn.NewLARS(rs.sched.LR(0))
+	} else {
+		opt = nn.NewSGD(rs.sched.LR(0))
+	}
+	return &replica{net: net, ws: ws, params: net.Params(), opt: opt, gstep: gstep}
+}
+
+// incarnation builds one world over the current members and trains
+// epochs [startEpoch, Epochs). inc numbers the incarnation (0 = first
+// attempt) and gates scheduled crashes: a crash planned for
+// incarnation k fires only there, so the rebuilt world does not
+// immediately re-die. On failure it also reports which member slots
+// died, mapped from the transport's failed comm ranks.
+func (rs *runState) incarnation(startEpoch, inc int) ([]int, error) {
+	cfg := rs.cfg
+	members := rs.members.Members()
+	p := len(members)
+	// Deterministic shard rebalance: comm rank i of this incarnation
+	// owns the strided shard ShardIDs(TrainSize, p, i), so the epoch's
+	// coverage and step count are pure functions of the member count.
+	stepsPerEpoch := (len(segdata.ShardIDs(cfg.TrainSize, p, 0)) + cfg.BatchPerRank - 1) / cfg.BatchPerRank
+	root, gstep := rs.policy.prepare(rs, members, startEpoch)
+
+	w, err := transport.NewWorld(p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Label the world so message-edge IDs from this incarnation's
 	// traffic never pair with edges recorded before a crash-restart.
@@ -456,81 +582,42 @@ func (rs *runState) incarnation(startEpoch, inc int) error {
 	if cfg.OnWorld != nil {
 		cfg.OnWorld(w, inc)
 	}
-	return w.Run(func(c *transport.Comm) error {
+	runErr := w.Run(func(c *transport.Comm) error {
 		rank := c.Rank()
+		slot := members[rank]
 		// Per-rank telemetry on a step-counter clock: deterministic,
-		// wall-clock-free, merged by the collector after the run.
-		obsLane := fmt.Sprintf("rank%d", rank)
+		// wall-clock-free, merged by the collector after the run. Lanes
+		// are keyed by machine slot, not comm rank, so a slot's series
+		// stays its own as the world changes shape around it.
+		obsLane := fmt.Sprintf("rank%d", slot)
 		lane := obsLane
 		if inc > 0 {
-			lane = fmt.Sprintf("rank%d.r%d", rank, inc)
+			lane = fmt.Sprintf("rank%d.r%d", slot, inc)
 		}
 		probe := cfg.Telemetry.NewProbe(lane, telemetry.NewStepClock())
 		if probe != nil {
 			c.SetProbe(probe)
 		}
-		var net deeplab.Segmenter
-		if cfg.Arch == "fcn" {
-			net = deeplab.NewFCN(cfg.Model)
-		} else {
-			net = deeplab.New(cfg.Model)
+		rep := rs.replicas[slot]
+		if rep == nil {
+			rep = rs.newReplica(gstep)
+			rs.replicas[slot] = rep
 		}
-		// Every activation and kernel scratch buffer this replica
-		// touches comes from one per-rank arena, Reset at each step
-		// boundary: after warmup a training step allocates (almost)
-		// nothing. Reuse is numerically invisible — pooled buffers are
-		// either zeroed or fully overwritten before use — so restart
-		// equivalence and the chaos byte-identity goldens are unaffected.
-		ws := tensor.NewWorkspace()
-		net.SetWorkspace(ws)
 		var health *modelhealth.Collector
 		if cfg.Health != nil {
-			health = cfg.Health.Rank(rank, inc, probe)
-			net.SetActivationTap(health)
+			health = cfg.Health.Rank(slot, inc, probe)
+			rep.net.SetActivationTap(health)
 		}
-		params := net.Params()
-		rt, err := horovod.NewRuntime(c, rs.mach, cfg.Horovod)
+		rt, err := horovod.NewRuntimeOver(c, rs.mach, members, cfg.Horovod)
 		if err != nil {
 			return err
 		}
-
-		var opt nn.Optimizer
-		if cfg.Optimizer == "lars" {
-			opt = nn.NewLARS(rs.sched.LR(0))
-		} else {
-			opt = nn.NewSGD(rs.sched.LR(0))
-		}
-
-		switch {
-		case startEpoch > 0:
-			// Crash recovery: every rank restores the full state —
-			// weights, float64 batch-norm statistics, optimiser
-			// velocity — from the last checkpoint. The file is the
-			// agreement point; the broadcast below is then a no-op but
-			// keeps the restored path on the same collective schedule
-			// as a fresh start.
-			st := checkpoint.State{Params: params, BNs: net.BatchNorms()}
-			if err := checkpoint.LoadStateFile(cfg.CheckpointPath, &st); err != nil {
-				return fmt.Errorf("restore: %w", err)
-			}
-			if st.Meta == nil || st.Meta.Epoch != startEpoch-1 {
-				return fmt.Errorf("restore: checkpoint %q is not the epoch-%d snapshot this run wrote", cfg.CheckpointPath, startEpoch-1)
-			}
-			if st.Velocity != nil {
-				if err := opt.ImportState(params, st.Velocity); err != nil {
-					return fmt.Errorf("restore: %w", err)
-				}
-			}
-		case cfg.ResumeFrom != "":
-			if err := checkpoint.LoadFile(cfg.ResumeFrom, params, net.BatchNorms()); err != nil {
-				return fmt.Errorf("resume: %w", err)
-			}
-		}
-		if err := rt.BroadcastParams(params); err != nil {
+		if err := rs.policy.sync(rs, rep, rt, root, startEpoch); err != nil {
 			return err
 		}
-		if cfg.SyncBN && cfg.World > 1 {
-			for _, bn := range net.BatchNorms() {
+		for _, bn := range rep.net.BatchNorms() {
+			bn.Sync = nil
+			if cfg.SyncBN && p > 1 {
 				// The sync closure fires mid-forward where no error can
 				// be returned; failures park in the runtime's sticky
 				// slot and surface at the next step boundary.
@@ -540,33 +627,41 @@ func (rs *runState) incarnation(startEpoch, inc int) error {
 			}
 		}
 
-		shard := segdata.ShardIDs(cfg.TrainSize, cfg.World, rank)
+		shard := segdata.ShardIDs(cfg.TrainSize, p, rank)
 		st := &rankStep{
 			cfg: cfg, c: c, probe: probe, obsLane: obsLane,
-			inc: inc, rank: rank,
-			net: net, ws: ws, params: params, rt: rt, opt: opt,
+			inc: inc, rank: slot,
+			net: rep.net, ws: rep.ws, params: rep.params, rt: rt, opt: rep.opt,
 			sched: rs.sched, trainSet: rs.trainSet,
 			shard:  shard,
 			accum:  cfg.Horovod.AccumPasses(),
 			scaler: scalerFor(cfg),
 			health: health,
 			ids:    make([]int, 0, cfg.BatchPerRank), // reused across steps
-			gstep:  startEpoch * rs.stepsPerEpoch,
+			gstep:  rep.gstep,
 			x:      tensor.New(cfg.BatchPerRank, 3, rs.trainSet.H, rs.trainSet.W),
 			labels: make([]int32,
 				cfg.BatchPerRank*rs.trainSet.H*rs.trainSet.W),
 		}
+		defer func() { rep.gstep = st.gstep }()
 
 		for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-			// Epoch-deterministic shuffle and augmentation stream,
-			// distinct per rank, re-derived each epoch (see augRNG).
-			// Every rank runs exactly stepsPerEpoch batches (wrapping
-			// when its shard is a sample short) so the collectives stay
-			// in lockstep.
+			if cfg.RejoinEpoch > 0 && epoch == cfg.RejoinEpoch && !rs.members.Full() {
+				// Same deterministic condition on every rank, evaluated at
+				// an epoch boundary where no collective is in flight: all
+				// ranks leave together and the policy regrows the world.
+				return errRejoin
+			}
+			// Epoch-deterministic shuffle and augmentation stream, keyed
+			// by comm rank and re-derived each epoch (see augRNG), so a
+			// shrunken run is a pure function of (seed, membership,
+			// epoch). Every rank runs exactly stepsPerEpoch batches
+			// (wrapping when its shard is a sample short) so the
+			// collectives stay in lockstep.
 			perm := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*101 + int64(rank))).Perm(len(shard))
 			rng := augRNG(cfg.Seed, rank, epoch)
 			epochLoss, batches := 0.0, 0
-			for s := 0; s < rs.stepsPerEpoch; s++ {
+			for s := 0; s < stepsPerEpoch; s++ {
 				loss, err := st.step(s, perm, rng)
 				if err != nil {
 					return err
@@ -580,8 +675,8 @@ func (rs *runState) incarnation(startEpoch, inc int) error {
 			if err != nil {
 				return err
 			}
-			conf := evaluate(net, rs.evalSet, cfg.World, rank, ws)
-			ws.Reset() // reclaim the last eval batch's activations
+			conf := evaluate(rep.net, rs.evalSet, p, rank, rep.ws)
+			rep.ws.Reset() // reclaim the last eval batch's activations
 			if err := rt.AllreduceCounts(conf.M); err != nil {
 				return err
 			}
@@ -592,16 +687,16 @@ func (rs *runState) incarnation(startEpoch, inc int) error {
 					MIOU:     conf.MeanIOU(),
 					PixelAcc: conf.PixelAccuracy(),
 					LR:       rs.sched.LR(st.gstep - 1),
-					World:    cfg.World,
+					World:    p,
 				}
 				if cfg.CheckpointPath != "" {
-					st := checkpoint.State{
-						Params:   params,
-						BNs:      net.BatchNorms(),
-						Velocity: opt.ExportState(params),
+					ck := checkpoint.State{
+						Params:   rep.params,
+						BNs:      rep.net.BatchNorms(),
+						Velocity: rep.opt.ExportState(rep.params),
 						Meta:     &checkpoint.Meta{Epoch: epoch, Step: st.gstep},
 					}
-					if err := checkpoint.SaveStateFile(cfg.CheckpointPath, st); err != nil {
+					if err := checkpoint.SaveStateFile(cfg.CheckpointPath, ck); err != nil {
 						return fmt.Errorf("checkpoint: %w", err)
 					}
 					rs.savedEpoch = epoch
@@ -621,9 +716,28 @@ func (rs *runState) incarnation(startEpoch, inc int) error {
 			if err := c.Barrier(); err != nil {
 				return err
 			}
+			// Every rank is past the barrier: the epoch's state is final
+			// on all of them. The policy may commit it as a rollback
+			// target, and rank 0 marks the epoch recorded.
+			rep.gstep = st.gstep
+			rs.policy.commit(rep)
+			if rank == 0 {
+				rs.doneEpoch = epoch
+			}
 		}
 		return nil
 	})
+	if runErr == nil {
+		return nil, nil
+	}
+	// Map the transport's failed comm ranks back to member slots.
+	var failed []int
+	for _, r := range w.FailedRanks() {
+		if r >= 0 && r < p {
+			failed = append(failed, members[r])
+		}
+	}
+	return failed, runErr
 }
 
 // rankStep bundles one replica's per-incarnation training state so the

@@ -1,15 +1,13 @@
 package transport
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Membership tracks which slots of an original fixed-size world are
-// currently alive — the bookkeeping behind elastic training, where a
-// rank death shrinks the world in place (survivors re-form a smaller
-// World whose comm ranks are the alive slots in ascending order) and
-// a scheduled rejoin restores it. A World itself is immutable once
+// currently alive — the bookkeeping behind every training world. A
+// fixed world is a membership that never shrinks; in elastic training
+// a rank death shrinks it in place (survivors re-form a smaller World
+// whose comm ranks are the alive slots in ascending order) and a
+// scheduled rejoin restores it. A World itself is immutable once
 // built; Membership is the layer above that decides how large the
 // next World is and which machine slot each comm rank stands for.
 type Membership struct {
@@ -28,9 +26,6 @@ func NewMembership(total int) (*Membership, error) {
 	}
 	return &Membership{alive: alive, n: total}, nil
 }
-
-// Total returns the original world size.
-func (m *Membership) Total() int { return len(m.alive) }
 
 // Size returns the number of alive slots.
 func (m *Membership) Size() int { return m.n }
@@ -53,21 +48,6 @@ func (m *Membership) Members() []int {
 		}
 	}
 	return out
-}
-
-// CommRank returns the comm rank slot s maps to in a world formed
-// from the current members, or -1 if s is dead or out of range.
-func (m *Membership) CommRank(s int) int {
-	if !m.Alive(s) {
-		return -1
-	}
-	r := 0
-	for i := 0; i < s; i++ {
-		if m.alive[i] {
-			r++
-		}
-	}
-	return r
 }
 
 // Remove marks the given slots dead. Removing an unknown or already-
@@ -94,30 +74,6 @@ func (m *Membership) Remove(slots ...int) error {
 	return nil
 }
 
-// Restore marks the given dead slots alive again (a scheduled
-// rejoin). Restoring an alive or unknown slot is an error and leaves
-// the membership unchanged.
-func (m *Membership) Restore(slots ...int) error {
-	seen := make(map[int]bool, len(slots))
-	for _, s := range slots {
-		if s < 0 || s >= len(m.alive) {
-			return fmt.Errorf("transport: membership: slot %d out of range", s)
-		}
-		if m.alive[s] {
-			return fmt.Errorf("transport: membership: slot %d already alive", s)
-		}
-		if seen[s] {
-			return fmt.Errorf("transport: membership: slot %d restored twice", s)
-		}
-		seen[s] = true
-	}
-	for _, s := range slots {
-		m.alive[s] = true
-	}
-	m.n += len(slots)
-	return nil
-}
-
 // RestoreAll revives every dead slot and returns the slots that were
 // dead, in ascending order.
 func (m *Membership) RestoreAll() []int {
@@ -129,7 +85,6 @@ func (m *Membership) RestoreAll() []int {
 		}
 	}
 	m.n = len(m.alive)
-	sort.Ints(revived)
 	return revived
 }
 

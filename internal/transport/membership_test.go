@@ -10,7 +10,7 @@ func TestMembershipLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Full() || m.Size() != 6 || m.Total() != 6 {
+	if !m.Full() || m.Size() != 6 {
 		t.Fatalf("fresh membership: %v", m)
 	}
 	if got := m.Members(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5}) {
@@ -26,13 +26,6 @@ func TestMembershipLifecycle(t *testing.T) {
 	if got := m.Members(); !reflect.DeepEqual(got, []int{0, 1, 2, 4, 5}) {
 		t.Fatalf("Members() = %v", got)
 	}
-	// Comm ranks compact around the hole.
-	if got := m.CommRank(4); got != 3 {
-		t.Fatalf("CommRank(4) = %d, want 3", got)
-	}
-	if got := m.CommRank(3); got != -1 {
-		t.Fatalf("CommRank(3) = %d, want -1 (dead)", got)
-	}
 
 	if err := m.Remove(3); err == nil {
 		t.Fatal("double remove: want error")
@@ -47,14 +40,11 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatalf("failed removes must not change state: %v", m)
 	}
 
-	if err := m.Restore(3); err != nil {
-		t.Fatal(err)
+	if got := m.RestoreAll(); !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("RestoreAll() = %v, want [3]", got)
 	}
-	if !m.Full() {
+	if !m.Full() || !m.Alive(3) {
 		t.Fatalf("after restore: %v", m)
-	}
-	if err := m.Restore(3); err == nil {
-		t.Fatal("restore of alive slot: want error")
 	}
 }
 
